@@ -20,13 +20,6 @@ deterministic pool-spawn counters — evidence that the run-scoped
 lifecycle eliminates per-call pool spawn overhead
 (``check_regression.check_sharded_scaling`` gates it).
 
-The ``auto_calibration`` series (schema 4) runs the measured per-host
-calibration (:mod:`repro.mining.calibration`), then times the
-calibrated ``auto`` engine against both fixed engines on the probe
-grid — evidence that measured crossovers dispatch within tolerance of
-the best fixed choice on *this* host
-(``check_regression.check_auto_calibration`` gates it).
-
 The ``trie_batch`` series (schema 6) counts the full Table-1 level-3
 candidate grid on ``position-hop`` twice: flat (one position-list chain
 per episode, O(E*L) hops) and batched over the shared-prefix
@@ -237,7 +230,6 @@ def run_bench(
                             row[key] = round(host_seconds[host] * 1e3 / sim_ms, 2)
                     crossover.append(row)
     scaling = run_sharded_scaling() if "sharded" in engines else []
-    auto_cal = run_auto_calibration() if "auto" in engines or "sharded" in engines else {}
     stream_tp = run_streaming_throughput(**(streaming or {}))
     trie_rows = run_trie_batch(**(trie_batch or {}))
     telemetry_rows = run_telemetry_overhead(**(telemetry or {}))
@@ -255,7 +247,6 @@ def run_bench(
         "results": results,
         "gpu_sim_crossover": crossover,
         "sharded_scaling": scaling,
-        "auto_calibration": auto_cal,
         "streaming_throughput": stream_tp,
         "trie_batch": trie_rows,
         "telemetry_overhead": telemetry_rows,
@@ -344,50 +335,6 @@ def run_sharded_scaling(
             f"({row['pools_spawned']} pool spawns)"
         )
     return rows
-
-
-def run_auto_calibration(repeats: int = 2) -> dict:
-    """The measured-crossover series: calibrate, then race auto.
-
-    Runs the quick calibration grid, fits per-policy thresholds, and
-    times the calibrated ``auto`` engine against both fixed engines on
-    the same grid.  ``check_regression.check_auto_calibration`` asserts
-    every cell's ``auto_s`` stays within tolerance of the best fixed
-    engine — the acceptance criterion for measured (rather than
-    hard-coded) dispatch.
-    """
-    from repro.mining.calibration import (
-        QUICK_EPISODES,
-        QUICK_SIZES,
-        probe_auto_vs_fixed,
-        run_calibration,
-    )
-
-    profile = run_calibration(quick=True, repeats=repeats,
-                              include_sharding=False)
-    rows = probe_auto_vs_fixed(
-        profile, sizes=QUICK_SIZES, episode_counts=QUICK_EPISODES,
-        repeats=repeats,
-        # the profile was fitted on this very grid and seed: reuse its
-        # sweep/hop measurements so only the auto column is re-timed
-        fixed_rows=list(profile.measurements),
-    )
-    for row in rows:
-        print(
-            f"auto_calibration {row['policy']:12s} n={row['n']:>7,} "
-            f"E={row['episodes']:>4} auto {row['auto_s'] * 1e3:8.2f} ms "
-            f"(chose {row['chosen']}, best {row['best_engine']}, "
-            f"{row['ratio_vs_best']:.2f}x best)"
-        )
-    return {
-        "grid": profile.grid,
-        "host": profile.host,
-        "thresholds": {
-            policy: t.as_dict()
-            for policy, t in sorted(profile.thresholds.items())
-        },
-        "rows": rows,
-    }
 
 
 #: trie_batch series parameters: the paper's full level-3 grid (N=26 ->

@@ -58,14 +58,6 @@ identical counts (checksummed — machine-independent), and the overhead
 ceilings (null <= 1%, recording <= 5%, with an absolute jitter floor)
 are within-machine, so the whole check runs on the fresh payload alone
 and pre-series snapshots need nothing.
-
-The ``auto_calibration`` series (schema 4) gates measured dispatch:
-after a fresh per-host calibration, the calibrated ``auto`` engine must
-stay within ``AUTO_CAL_TOLERANCE`` of the best fixed engine on every
-probe-grid cell (with an absolute noise floor for sub-millisecond
-cells).  The check is within-machine — calibration and race run on the
-same host in the same process — so no reference cells are needed and
-pre-series snapshots pass untouched.
 """
 
 from __future__ import annotations
@@ -252,46 +244,6 @@ def check_sharded_scaling(fresh: dict) -> "list[str]":
             f"{scoped['seconds_per_call'] * 1e3:.2f} ms/call slower than "
             f"per-call pools {per_call['seconds_per_call'] * 1e3:.2f} ms/call "
             "(pool reuse regressed)"
-        )
-    return problems
-
-
-#: calibrated-auto may lose at most this factor vs the best fixed
-#: engine on any probe cell (the crossover boundary is fuzzy, so cells
-#: near it legitimately split the difference)
-AUTO_CAL_TOLERANCE = 1.6
-#: absolute slack: cells this close to the best are timing noise, not a
-#: dispatch mistake
-AUTO_CAL_ABS_SLACK_S = 2e-3
-
-
-def check_auto_calibration(
-    fresh: dict, tolerance: float = AUTO_CAL_TOLERANCE
-) -> "list[str]":
-    """Gate measured dispatch (schema 4's ``auto_calibration`` series).
-
-    Checked on the fresh payload only: the calibration profile and the
-    race were measured on the same host moments apart, so the
-    comparison is within-machine by construction.  Payloads without the
-    series (older schemas, engine subsets) pass untouched.
-    """
-    series = fresh.get("auto_calibration") or {}
-    rows = series.get("rows", ())
-    if not rows:
-        return []
-    problems = []
-    for row in rows:
-        best_s = min(row["sweep_s"], row["hop_s"])
-        auto_s = row["auto_s"]
-        if auto_s <= best_s * tolerance or auto_s - best_s <= AUTO_CAL_ABS_SLACK_S:
-            continue
-        problems.append(
-            f"auto_calibration {row['policy']} @ n={row['n']:,} "
-            f"E={row['episodes']}: calibrated auto "
-            f"{auto_s * 1e3:.2f} ms vs best fixed engine "
-            f"({row['best_engine']}) {best_s * 1e3:.2f} ms — "
-            f"{auto_s / best_s:.2f}x exceeds the {tolerance:.1f}x tolerance "
-            f"(chose {row['chosen']})"
         )
     return problems
 
@@ -537,7 +489,6 @@ def main(argv: "list[str] | None" = None) -> int:
     problems += check_invariants(fresh)
     problems += check_gpu_sim(reference, fresh)
     problems += check_sharded_scaling(fresh)
-    problems += check_auto_calibration(fresh)
     problems += check_streaming(reference, fresh, tolerance=args.tolerance)
     problems += check_trie_batch(fresh)
     problems += check_telemetry(fresh)

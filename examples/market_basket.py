@@ -10,7 +10,7 @@ reversed ordering, and temporal mining distinguishes the two.
 Run:  python examples/market_basket.py
 """
 
-from repro import FrequentEpisodeMiner, GpuCountingEngine, get_card
+from repro import FrequentEpisodeMiner, GpuSimEngine
 from repro.data import MarketConfig, generate_market_stream
 
 # Product code legend for readability.
@@ -37,9 +37,7 @@ def main() -> None:
     print(f"purchase stream: {stream.size:,} events over {config.n_products} products")
 
     # Level-wise mining with the GPU engine + adaptive algorithm selection.
-    engine = GpuCountingEngine(
-        device=get_card("GTX280"), alphabet_size=alphabet.size, algorithm="auto"
-    )
+    engine = GpuSimEngine(device="GTX280", algorithm="auto")
     miner = FrequentEpisodeMiner(alphabet, threshold=0.02, engine=engine, max_level=4)
     result = miner.mine(stream)
 

@@ -92,7 +92,6 @@ from repro.data import (
     paper_database,
     random_database,
 )
-from repro.mapreduce import GpuCountingEngine
 from repro.gpu.multi import MultiGpu, dual_gx2
 from repro.mining.pipeline import PipelinedMiner
 from repro.streaming import (
@@ -162,7 +161,6 @@ __all__ = [
     "generate_spike_stream",
     "generate_market_stream",
     # mapreduce
-    "GpuCountingEngine",
     "GpuSimEngine",
     # extensions
     "MultiGpu",

@@ -158,7 +158,7 @@ class AdaptiveSelector:
         return hit
 
     def cache_clear(self) -> None:
-        """Drop all memoized selections (e.g. after recalibration)."""
+        """Drop all memoized selections."""
         self._cache.clear()
 
     @property

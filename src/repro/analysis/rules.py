@@ -253,8 +253,6 @@ class NonAtomicArtifactWriteRule(Rule):
 
 #: callables that yield a REGISTRY-managed engine
 _ENGINE_SOURCES = ("get_engine", "REGISTRY.get")
-#: method names that propagate engine-ness through reassignment
-_ENGINE_PRESERVING = frozenset({"with_profile"})
 #: engine methods that require an open run scope.  ``count`` and the
 #: trie-batched ``count_batch`` (PR 8) are both run-scoped — the
 #: ``startswith("count")`` fallback below catches future ``count_*``
@@ -292,12 +290,6 @@ class _Rep003Visitor(_RuleVisitor):
                 or fn.endswith(".REGISTRY.get")
             ):
                 return True
-            # engine.with_profile(...) is still the engine
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in _ENGINE_PRESERVING
-            ):
-                return self._is_engine_expr(node.func.value)
         if isinstance(node, ast.Name):
             return self._is_engine_name(node.id)
         return False
@@ -603,13 +595,12 @@ class WallclockInCountingPathRule(Rule):
     reads break that.
 
     :mod:`repro.obs.clock` is the sole sanctioned timing seam: code
-    that legitimately measures elapsed time (calibration probes, the
-    serial baseline's timing reports, telemetry spans) calls
+    that legitimately measures elapsed time (the serial baseline's
+    timing reports, telemetry spans) calls
     ``clock.now()`` / ``clock.utc_stamp()``, which this rule does not
     flag — so every wallclock acquisition in the counting packages
     funnels through one auditable module.  There are no module-level
-    exemptions; the rare non-seam read (e.g. profile staleness checks
-    comparing provenance stamps) carries an inline noqa with its
+    exemptions; a rare non-seam read carries an inline noqa with its
     justification.  Both dotted reads (``time.perf_counter()``) and
     bare-name imports (``from time import perf_counter``) are caught.
     """

@@ -13,11 +13,8 @@ regenerated without writing Python:
   chunk-at-a-time event feed (synthetic drifting feed by default, or
   ``--input`` to replay a saved database), with per-chunk
   promotion/demotion reporting (see :mod:`repro.streaming`);
-* ``calibrate`` — measure this host's engine crossovers and write a
-  ``calibration.json`` profile the ``auto``/``sharded`` engines consult
-  (see :mod:`repro.mining.calibration` for format and precedence);
 * ``report out.json`` — render a run report written by the ``--trace``
-  flag of ``mine``/``stream``/``calibrate`` (phase table, counters,
+  flag of ``mine``/``stream`` (phase table, counters,
   cache stats, degradation events; see :mod:`repro.obs`);
 * ``probe`` — run the §6 micro-benchmark suite on a card;
 * ``lint`` — run the contract linter (:mod:`repro.analysis`, rules
@@ -102,21 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "or --engine sharded",
     )
     mine.add_argument(
-        "--calibration",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="explicit calibration profile for the auto/sharded engines "
-        "(default: REPRO_CALIBRATION env var, then the profile beside "
-        "benchmarks/BENCH_engines.json, then fixed heuristics)",
-    )
-    mine.add_argument(
-        "--no-calibration",
-        action="store_true",
-        help="ignore any calibration profile and use the fixed engine "
-        "heuristics",
-    )
-    mine.add_argument(
         "--trace", type=Path, default=None, metavar="PATH",
         help="record run telemetry (span tree, counters, cache stats, "
         "degradation events) and write it as a JSON run report; "
@@ -186,16 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "sharded; only with --workers",
     )
     strm.add_argument(
-        "--calibration", type=Path, default=None, metavar="PATH",
-        help="explicit calibration profile steering engine dispatch "
-        "(default: ambient resolution)",
-    )
-    strm.add_argument(
-        "--no-calibration", action="store_true",
-        help="ignore any calibration profile and use the fixed engine "
-        "heuristics",
-    )
-    strm.add_argument(
         "--checkpoint", type=Path, default=None, metavar="PATH",
         help="write an atomic, digest-sealed checkpoint after every "
         "chunk (see repro.streaming.checkpoint); an interrupted run "
@@ -213,41 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="record per-chunk telemetry (spans, counters, "
         "incremental-vs-recount decisions, degradation events) and "
         "write it as a JSON run report; inspect with `repro report PATH`",
-    )
-
-    cal = sub.add_parser(
-        "calibrate",
-        help="measure this host's engine crossovers and write a profile",
-    )
-    cal.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        help="profile path (default: benchmarks/calibration.json beside "
-        "BENCH_engines.json)",
-    )
-    cal.add_argument(
-        "--quick", action="store_true", help="smaller probe grid",
-    )
-    cal.add_argument(
-        "--workers", type=int, default=None,
-        help="worker count for the sharding-cost probe (default: cpus, "
-        "capped at 8)",
-    )
-    cal.add_argument(
-        "--repeats", type=int, default=2,
-        help="best-of repeats per probe cell (default: 2)",
-    )
-    cal.add_argument(
-        "--any-host",
-        action="store_true",
-        help="stamp the profile as valid on any host (CI fixtures; "
-        "skips the fingerprint check on load)",
-    )
-    cal.add_argument(
-        "--trace", type=Path, default=None, metavar="PATH",
-        help="record probe-phase telemetry and write it as a JSON run "
-        "report; inspect with `repro report PATH`",
     )
 
     rep = sub.add_parser(
@@ -368,35 +305,6 @@ def _cmd_advise(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_cli_profile(args: argparse.Namespace):
-    """Shared ``--calibration``/``--no-calibration`` resolution.
-
-    Returns an explicit profile (an *empty* one pins the fixed
-    heuristics for ``--no-calibration`` without mutating process-global
-    state), or ``None`` to leave ambient resolution in effect.
-    """
-    from repro.errors import ConfigError
-    from repro.mining.calibration import CalibrationProfile, load_profile
-
-    if args.no_calibration and args.calibration is not None:
-        raise ConfigError(
-            "--calibration and --no-calibration are mutually exclusive"
-        )
-    if args.no_calibration:
-        return CalibrationProfile(thresholds={})
-    if args.calibration is not None:
-        # the user named the file, so honor it even on a foreign host
-        # (load still warns with recalibration advice)
-        profile = load_profile(args.calibration, require_host=False)
-        if profile is None:
-            raise ConfigError(
-                f"calibration profile {args.calibration} is missing or "
-                "unreadable (run `repro calibrate` to generate one)"
-            )
-        return profile
-    return None
-
-
 def _trace_recorder(args: argparse.Namespace):
     """A live recorder when ``--trace`` was given, else ``None``."""
     if getattr(args, "trace", None) is None:
@@ -446,19 +354,15 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         raise ConfigError(
             "--min-shard-work requires --workers or --engine sharded"
         )
-    profile = _resolve_cli_profile(args)
     engine = get_engine(engine_name)
     if args.workers is not None or engine_name == "sharded":
-        # construct the sharded engine here (rather than letting the
-        # miner clone it via with_profile) so the stats printed at the
-        # end come from the instance that actually ran
         shard_kwargs = {}
         if args.workers is not None:
             shard_kwargs["workers"] = args.workers
         if args.min_shard_work is not None:
             shard_kwargs["min_shard_work"] = args.min_shard_work
         inner = "auto" if engine_name == "sharded" else engine
-        engine = ShardedEngine(inner=inner, profile=profile, **shard_kwargs)
+        engine = ShardedEngine(inner=inner, **shard_kwargs)
     alphabet = Alphabet.of_size(args.alphabet_size)
     if args.input is not None:
         # fail fast on synthetic-only flags rather than silently
@@ -496,9 +400,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         # mining configuration comes from the checkpoint — the feed
         # flags above still define the (re-iterable) source, whose
         # already-consumed chunks are skipped
-        miner = StreamingMiner.resume(
-            args.resume, engine=engine, calibration=profile
-        )
+        miner = StreamingMiner.resume(args.resume, engine=engine)
         miner.recorder = recorder
         skip = miner.chunk_index
         mode = miner.mode
@@ -515,7 +417,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             policy=policy,
             window=args.window,
             engine=engine,
-            calibration=profile,
             mode=args.mode,
             horizon=args.horizon,
             max_level=args.max_level,
@@ -625,7 +526,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         raise ConfigError(
             "--min-shard-work requires --workers or --engine sharded"
         )
-    profile = _resolve_cli_profile(args)
     if engine_name == "gpu-sim":
         # same registry engine the name resolves to, carded per --card
         engine = GpuSimEngine(device=get_card(args.card))
@@ -638,8 +538,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         if args.min_shard_work is not None:
             shard_kwargs["min_shard_work"] = args.min_shard_work
         inner = "auto" if engine_name == "sharded" else engine
-        engine = ShardedEngine(inner=inner, profile=profile,
-                               **shard_kwargs)  # ConfigError on bad values
+        # ConfigError on bad values
+        engine = ShardedEngine(inner=inner, **shard_kwargs)
         if engine_name == "gpu-sim":
             # workers re-resolve gpu-sim by name on the default card, so
             # per-card kernel-time reporting is lost; counts stay exact
@@ -660,7 +560,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     miner = FrequentEpisodeMiner(
         alphabet, threshold=args.threshold, policy=policy,
         window=args.window, engine=engine, max_level=4,
-        calibration=profile, recorder=recorder,
+        recorder=recorder,
     )
     t0 = clock.now()
     try:
@@ -676,10 +576,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         f"mined {stream.size:,} events at alpha={args.threshold} "
         f"(engine={engine_name}, policy={policy.value})"
     )
-    if args.no_calibration:
-        print("calibration disabled: fixed engine heuristics")
-    elif profile is not None:
-        print(f"calibration profile: {args.calibration} (host {profile.host})")
     for lvl in result.levels:
         print(
             f"  level {lvl.level}: {lvl.n_candidates} candidates -> "
@@ -703,65 +599,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         print(_degradation_line(ev))
     if args.trace is not None:
         _write_trace(miner.last_report, args.trace)
-    return 0
-
-
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigError
-    from repro.mining.calibration import (
-        ANY_HOST,
-        default_profile_path,
-        reset_active_profile,
-        run_calibration,
-        save_profile,
-    )
-
-    out = args.out if args.out is not None else default_profile_path()
-    if out is None:
-        raise ConfigError(
-            "no default profile location in this installation; pass --out"
-        )
-    recorder = _trace_recorder(args)
-    profile = run_calibration(
-        quick=args.quick,
-        workers=args.workers,
-        repeats=args.repeats,
-        host=ANY_HOST if args.any_host else None,
-        recorder=recorder,
-    )
-    print(f"calibrated host {profile.host} "
-          f"({len(profile.measurements)} probe cells)")
-    for policy, t in sorted(profile.thresholds.items()):
-        print(
-            f"  {policy:12s} sweep iff n < {t.sweep_max_n:,} and "
-            f"n < {t.sweep_chars_per_episode:g} x episodes"
-        )
-    if profile.sharding is not None:
-        costs = profile.sharding
-        print(
-            f"  sharding     pool spawn {costs.pool_spawn_s * 1e3:.1f} ms, "
-            f"dispatch {costs.dispatch_s * 1e3:.2f} ms/call -> "
-            f"{costs.recommend_workers()} worker(s), "
-            f"min_shard_work {costs.recommend_min_shard_work():,}"
-        )
-    else:
-        print("  sharding     process pools unavailable; fixed defaults kept")
-    save_profile(profile, out)
-    reset_active_profile()  # the ambient cache may now point at stale data
-    print(f"wrote {out}")
-    if recorder is not None:
-        from repro.obs.report import RunReport
-
-        report = RunReport.from_recorder(
-            recorder,
-            command="calibrate",
-            calibration={"source": "fresh", "host": profile.host,
-                         "created": profile.created,
-                         "schema": profile.schema},
-            meta={"quick": bool(args.quick), "repeats": int(args.repeats),
-                  "profile_path": str(out)},
-        )
-        _write_trace(report, args.trace)
     return 0
 
 
@@ -885,7 +722,6 @@ _COMMANDS = {
     "characterize": _cmd_characterize,
     "advise": _cmd_advise,
     "mine": _cmd_mine,
-    "calibrate": _cmd_calibrate,
     "report": _cmd_report,
     "probe": _cmd_probe,
 }

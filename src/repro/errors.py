@@ -46,8 +46,8 @@ class ArtifactError(ReproError):
     """A JSON artifact is missing, truncated, or structurally wrong.
 
     Raised by :mod:`repro.resilience.artifacts` when a file that should
-    hold a JSON object (a benchmark trajectory, a calibration profile,
-    a lint baseline) cannot be read as one.  Distinct from
+    hold a JSON object (a benchmark trajectory, a run report, a lint
+    baseline) cannot be read as one.  Distinct from
     :class:`ValidationError` so callers can answer "regenerate the
     artifact" instead of "fix the input data".
     """

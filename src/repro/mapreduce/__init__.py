@@ -4,9 +4,9 @@ The paper frames all four mining algorithms as MapReduce programs:
 *map* emits (episode, partial-count) pairs, an optional intermediate
 step repairs boundary-spanning occurrences, *reduce* sums partials per
 episode.  This package provides the general framework (usable for any
-key/value job), CPU engines (serial, thread-pool, and process-pool),
-and the GPU engine that lowers counting jobs onto the simulated mining
-kernels.
+key/value job) and CPU engines (serial, thread-pool, and
+process-pool).  Simulated-GPU counting is the ``gpu-sim`` registry
+engine (:class:`~repro.mining.engines.GpuSimEngine`).
 """
 
 from repro.mapreduce.types import KeyValue, MapReduceJob
@@ -16,7 +16,6 @@ from repro.mapreduce.cpu_engine import (
     SerialEngine,
     ThreadPoolEngine,
 )
-from repro.mapreduce.gpu_engine import GpuCountingEngine
 from repro.mapreduce.combiner import sum_combiner, group_by_key
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "SerialEngine",
     "ThreadPoolEngine",
     "ProcessPoolEngine",
-    "GpuCountingEngine",
     "sum_combiner",
     "group_by_key",
 ]

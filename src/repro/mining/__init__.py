@@ -42,16 +42,6 @@ from repro.mining.engines import (
     list_engines,
     register_engine,
 )
-from repro.mining.calibration import (
-    CalibrationProfile,
-    PolicyThresholds,
-    ShardingCosts,
-    active_profile,
-    load_profile,
-    run_calibration,
-    save_profile,
-    set_active_profile,
-)
 from repro.mining.gminer_ref import SerialMiner
 
 # NOTE: repro.mining.pipeline depends on repro.algos; import it via its
@@ -92,12 +82,4 @@ __all__ = [
     "MiningResult",
     "LevelResult",
     "SerialMiner",
-    "CalibrationProfile",
-    "PolicyThresholds",
-    "ShardingCosts",
-    "active_profile",
-    "load_profile",
-    "run_calibration",
-    "save_profile",
-    "set_active_profile",
 ]

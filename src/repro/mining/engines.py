@@ -107,7 +107,7 @@ failure is explicit rather than a silent whole-call recompute:
   the poisoned pool is dropped without waiting on the hung worker;
 * **repeated failure** (respawn budget exhausted, or the pool cannot
   spawn at all): the run degrades down the explicit chain *sharded ->
-  calibrated single-process inner engine* for the rest of the scope;
+  single-process inner engine* for the rest of the scope;
 * **shard exceptions are never retried**: a mapper raising is a
   programming error, not an infrastructure failure, and propagates as
   itself (the PR-3 contract, now directly testable through fault
@@ -121,27 +121,18 @@ Recovery moves *where* counting happens, never what is counted — the
 resilience property suite (``tests/test_resilience.py``) asserts exact
 result equality under every injected fault.
 
-Measured calibration
---------------------
-The dispatch boundaries above are hardware facts, so they can be
-*measured* instead of hard-coded: :mod:`repro.mining.calibration`
-probes the engines on a deterministic ``(n, E, policy)`` grid and
-persists a versioned ``calibration.json`` profile (file format and
-precedence rules are documented there).  :class:`AutoEngine` consults
-the profile's fitted per-policy thresholds — an explicit
-``AutoEngine(profile=...)`` first, else the ambient profile resolved
-from the ``REPRO_CALIBRATION`` environment variable or the default
-path beside ``benchmarks/BENCH_engines.json`` — falling back to the
-fixed constants when no profile is present, readable, schema-current,
-and host-matched.  :class:`ShardedEngine` uses the profile's measured
-pool-spawn/dispatch costs to pick its default worker count and
-``min_shard_work`` (and, for profile-derived worker counts, caps the
-per-call shard fan-out so every worker gets at least
-``min_shard_work`` of work).  Every engine offers
-``with_profile(profile)`` — a no-op for tiers without tunables — which
-is how :class:`~repro.mining.miner.FrequentEpisodeMiner` and the CLI
-thread an explicit profile through.  Calibration is advisory: it moves
-dispatch choices, never counts.
+Dispatch rule
+-------------
+Dispatch is a fixed function of each call's inputs — no profile file,
+no environment variable, no host fingerprint, no wall-clock state.
+:class:`AutoEngine` always sends RESET to the ``position-hop`` n-gram
+pass; for SUBSEQUENCE/EXPIRING it picks ``vector-sweep`` iff
+``n < AutoEngine.SWEEP_MAX_N`` (4096) *and*
+``n < AutoEngine.SWEEP_CHARS_PER_EPISODE * E`` (8 characters per
+episode), else ``position-hop``.  :class:`ShardedEngine` defaults to
+``min(cpu, 8)`` workers and ``min_shard_work = 1 << 21``; explicitly
+passed values are honored verbatim.  Dispatch moves where and how
+counting runs, never the counts.
 """
 
 from __future__ import annotations
@@ -170,7 +161,6 @@ from repro.resilience.supervisor import (
     DegradationEvent,
     ShardSupervisor,
 )
-from repro.mining import calibration as _calibration
 from repro.mining.counting import (
     DatabaseIndex,
     as_episode_matrix,
@@ -323,18 +313,6 @@ class CountingEngine:
     ) -> "BoundEngine":
         """Adapt to the miner's ``(db, episodes) -> counts`` protocol."""
         return BoundEngine(self, alphabet_size, policy, window)
-
-    def with_profile(
-        self, profile: "_calibration.CalibrationProfile | None"
-    ) -> "CountingEngine":
-        """This engine reconfigured for an explicit calibration profile.
-
-        The base tiers have no calibration tunables, so they return
-        themselves; :class:`AutoEngine` and :class:`ShardedEngine`
-        return reconfigured instances.  ``None`` always returns
-        ``self`` (ambient resolution stays in effect).
-        """
-        return self
 
     def __enter__(self) -> "CountingEngine":
         """Open a run scope (no-op for stateless tiers; see module docs)."""
@@ -582,46 +560,16 @@ class AutoEngine(CountingEngine):
     O(E·(L + log m)); the sweep only wins when the database is short on
     *both* absolute and per-episode scales.
 
-    The boundary is a hardware fact, so a measured
-    :class:`~repro.mining.calibration.CalibrationProfile` overrides the
-    fixed class constants: an explicit ``profile`` first, else the
-    ambient profile (``REPRO_CALIBRATION`` env var or the default path;
-    see :func:`repro.mining.calibration.active_profile`), else the
-    constants.  Calibration moves the choice, never the counts.
+    The boundary is the fixed rule below (see "Dispatch rule" in the
+    module docstring); it depends only on the call's inputs.
     """
 
     name = "auto"
 
     #: below this database length the per-character sweep is considered
-    #: (fallback when no calibration profile applies)
     SWEEP_MAX_N = 4096
     #: sweep also requires fewer than this many characters per episode
-    #: (fallback when no calibration profile applies)
     SWEEP_CHARS_PER_EPISODE = 8
-
-    def __init__(
-        self, profile: "_calibration.CalibrationProfile | None" = None
-    ) -> None:
-        self.profile = profile
-
-    def with_profile(
-        self, profile: "_calibration.CalibrationProfile | None"
-    ) -> "CountingEngine":
-        if profile is None or profile is self.profile:
-            return self
-        return AutoEngine(profile=profile)
-
-    def _thresholds(
-        self, policy: MatchPolicy
-    ) -> "_calibration.PolicyThresholds | None":
-        """The measured boundary for ``policy``, if a profile offers one."""
-        profile = (
-            self.profile if self.profile is not None
-            else _calibration.active_profile()
-        )
-        if profile is None:
-            return None
-        return profile.thresholds_for(policy)
 
     def select(
         self, n: int, n_episodes: int, policy: MatchPolicy
@@ -629,15 +577,8 @@ class AutoEngine(CountingEngine):
         """The concrete engine ``count`` will delegate to."""
         if policy is MatchPolicy.RESET:
             return get_engine("position-hop")  # n-gram path either way
-        thresholds = self._thresholds(policy)
-        if thresholds is not None:
-            prefer_sweep = thresholds.prefers_sweep(n, n_episodes)
-        else:
-            prefer_sweep = (
-                n < self.SWEEP_MAX_N
-                and n < self.SWEEP_CHARS_PER_EPISODE * n_episodes
-            )
-        if prefer_sweep:
+        if (n < self.SWEEP_MAX_N
+                and n < self.SWEEP_CHARS_PER_EPISODE * n_episodes):
             return get_engine("vector-sweep")
         return get_engine("position-hop")
 
@@ -876,20 +817,6 @@ def _sharded_mapper(record: KeyValue) -> "list[KeyValue]":
             # losing parent-side register_engine() calls; every engine is
             # exact, so auto is a correct stand-in
             engine = get_engine("auto")
-        # dispatch per the *parent's* calibration decision, not whatever
-        # ambient profile this worker process would resolve on its own:
-        # the payload carries the parent's profile (or None for "fixed
-        # heuristics", which an empty explicit profile pins — see
-        # ShardedEngine._payload)
-        calib = payload.get("calibration")
-        if calib is not None:
-            try:
-                profile = _calibration.CalibrationProfile.from_payload(calib)
-            except (ValidationError, ValueError, KeyError, TypeError):
-                profile = _calibration.CalibrationProfile(thresholds={})
-        else:
-            profile = _calibration.CalibrationProfile(thresholds={})
-        engine = engine.with_profile(profile)
         index = _cached_worker_index(payload["db"], payload.get("db_key"))
         if payload.get("trie"):
             # trie-subtree shard: rebuild the shared-prefix structure
@@ -1053,7 +980,7 @@ class ShardedEngine(CountingEngine):
     worker) is respawned up to ``max_pool_respawns`` times with seeded
     exponential ``backoff`` and only unfinished shards re-dispatched;
     hung shards are reclaimed and recounted in-process; once the spawn
-    budget for the scope is spent, the run degrades to the calibrated
+    budget for the scope is spent, the run degrades to the
     single-process inner engine, recording a structured
     :class:`~repro.resilience.supervisor.DegradationEvent` on
     ``events`` (cleared when a new run scope opens).  Mapper exceptions
@@ -1063,15 +990,9 @@ class ShardedEngine(CountingEngine):
     Small problems (``db chars x episodes < min_shard_work``) run
     inline on the inner engine.
 
-    ``workers`` and ``min_shard_work`` left unset are resolved from the
-    calibration profile's measured :class:`~repro.mining.calibration.
-    ShardingCosts` (explicit ``profile`` first, else the ambient one),
-    falling back to the historical fixed defaults (``min(cpu, 8)`` and
-    ``1 << 21``) without a profile.  Profile-derived worker counts are
-    additionally capped *per call* so every worker receives at least
-    ``min_shard_work`` of work — a measured-overhead answer to "how
-    many workers is this problem actually worth".  Explicitly passed
-    values are always honored verbatim.
+    ``workers`` and ``min_shard_work`` left unset default to
+    ``min(cpu, 8)`` and ``1 << 21``; explicitly passed values are
+    honored verbatim.
     """
 
     name = "sharded"
@@ -1079,7 +1000,7 @@ class ShardedEngine(CountingEngine):
     #: valid ``axis`` choices for the SUBSEQUENCE/EXPIRING split
     AXES = ("auto", "episode", "database")
 
-    #: fixed ``min_shard_work`` fallback when no profile applies
+    #: ``min_shard_work`` when the caller passes none
     DEFAULT_MIN_SHARD_WORK = 1 << 21
 
     def __init__(
@@ -1088,7 +1009,6 @@ class ShardedEngine(CountingEngine):
         workers: int | None = None,
         min_shard_work: int | None = None,
         axis: str = "auto",
-        profile: "_calibration.CalibrationProfile | None" = None,
         shard_deadline_s: float | None = None,
         backoff: "BackoffPolicy | None" = None,
         max_pool_respawns: int = 1,
@@ -1131,50 +1051,12 @@ class ShardedEngine(CountingEngine):
                 f"inner engine {name!r} is not the registered "
                 "instance; register_engine() it before sharding over it"
             )
-        self.profile = profile
-        # remember what the caller pinned, so with_profile() can clone
-        # without freezing derived defaults into explicit settings
-        self._explicit_workers = workers
-        self._explicit_min_shard_work = min_shard_work
-        effective = (
-            profile if profile is not None else _calibration.active_profile()
+        self.workers = (
+            workers if workers is not None else min(os.cpu_count() or 1, 8)
         )
-        costs = effective.sharding if effective is not None else None
-        if workers is not None:
-            self.workers = workers
-            self._workers_from_profile = False
-        elif costs is not None:
-            self.workers = costs.recommend_workers()
-            self._workers_from_profile = True
-        else:
-            self.workers = min(os.cpu_count() or 1, 8)
-            self._workers_from_profile = False
-        if min_shard_work is not None:
-            self.min_shard_work = min_shard_work
-        elif costs is not None:
-            self.min_shard_work = costs.recommend_min_shard_work()
-        else:
-            self.min_shard_work = self.DEFAULT_MIN_SHARD_WORK
-        # inline counting honors an explicit profile (workers always
-        # resolve the *registered* inner by name, so only speed — never
-        # counts — can differ across the boundary)
-        self._local_inner = (
-            self.inner.with_profile(profile) if profile is not None
-            else self.inner
-        )
-        # workers dispatch per the parent's calibration decision: ship
-        # the resolved profile (minus the bulky raw measurements) in
-        # every shard payload; None means "fixed heuristics", which the
-        # mapper pins with an empty profile so worker-ambient state
-        # (their own env var / default file) never leaks into a run
-        self._worker_calibration = (
-            {
-                key: value
-                for key, value in effective.to_payload().items()
-                if key != "measurements"
-            }
-            if effective is not None
-            else None
+        self.min_shard_work = (
+            min_shard_work if min_shard_work is not None
+            else self.DEFAULT_MIN_SHARD_WORK
         )
         self.axis = axis
         self.shard_deadline_s = shard_deadline_s
@@ -1194,35 +1076,6 @@ class ShardedEngine(CountingEngine):
         # respawn budget ("respawned once" at the default of 1)
         self._scope_spawn_budget = 1 + max_pool_respawns
         self._depth = 0
-
-    def with_profile(
-        self, profile: "_calibration.CalibrationProfile | None"
-    ) -> "CountingEngine":
-        if profile is None or profile is self.profile:
-            return self
-        return ShardedEngine(
-            inner=self.inner,
-            workers=self._explicit_workers,
-            min_shard_work=self._explicit_min_shard_work,
-            axis=self.axis,
-            profile=profile,
-            shard_deadline_s=self.shard_deadline_s,
-            backoff=self.backoff,
-            max_pool_respawns=self.max_pool_respawns,
-        )
-
-    def _effective_workers(self, total_work: int) -> int:
-        """Per-call shard fan-out.
-
-        Explicit worker counts are honored verbatim.  Profile-derived
-        counts are capped so each worker gets at least
-        ``min_shard_work`` of work — fewer, busier workers beat many
-        idle ones once the measured dispatch overhead is real.
-        """
-        if not self._workers_from_profile:
-            return self.workers
-        per_worker = max(1, self.min_shard_work)
-        return max(1, min(self.workers, total_work // per_worker))
 
     # -- run-scoped pool lifecycle ------------------------------------
 
@@ -1304,21 +1157,19 @@ class ShardedEngine(CountingEngine):
         # A scope whose pool could not spawn also stays inline: the
         # decomposition costs strictly more than inner.count without
         # workers to spread it over (the carry's pass 1 is ~L sweeps).
-        workers = self._effective_workers(n * n_eps)
-        if (workers <= 1 or n == 0 or n_eps == 0 or self._pool_failed
+        if (self.workers <= 1 or n == 0 or n_eps == 0 or self._pool_failed
                 or n * n_eps < self.min_shard_work):
-            return self._local_inner.count(db, matrix, alphabet_size, policy,
-                                           window, index=index)
+            return self.inner.count(db, matrix, alphabet_size, policy,
+                                    window, index=index)
         if policy is MatchPolicy.RESET:
-            job = self._database_axis_job(db, matrix, alphabet_size, policy,
-                                          workers)
+            job = self._database_axis_job(db, matrix, alphabet_size, policy)
             return self._run(job)["total"]
-        if self._pick_axis(n_eps, workers) == "database":
+        if self._pick_axis(n_eps) == "database":
             return self._count_database_axis_carry(
-                db, matrix, alphabet_size, policy, window, workers, index=index
+                db, matrix, alphabet_size, policy, window, index=index
             )
         job = self._episode_axis_job(db, matrix, alphabet_size, policy, window,
-                                     workers, index=index)
+                                     index=index)
         results = self._run(job)
         return np.concatenate(
             [results[key] for key in sorted(results, key=lambda k: k[1])]
@@ -1345,7 +1196,7 @@ class ShardedEngine(CountingEngine):
         degradation, and inline fallbacks are identical to ``count``:
         the same ``_run`` path executes the job, RESET and narrow
         batches fall back to the database-axis/flat decompositions, and
-        a degraded scope counts inline on the calibrated inner engine.
+        a degraded scope counts inline on the inner engine.
         """
         if not isinstance(episodes, CandidateTrie):
             return super().count_batch(db, episodes, alphabet_size, policy,
@@ -1356,21 +1207,20 @@ class ShardedEngine(CountingEngine):
         n, n_eps = int(db.size), len(trie)
         if n_eps == 0:
             return np.zeros(0, dtype=np.int64)
-        workers = self._effective_workers(n * n_eps)
-        if (workers <= 1 or n == 0 or self._pool_failed
+        if (self.workers <= 1 or n == 0 or self._pool_failed
                 or n * n_eps < self.min_shard_work):
-            return self._local_inner.count_batch(
+            return self.inner.count_batch(
                 db, trie, alphabet_size, policy, window, index=index
             )
         if (policy is MatchPolicy.RESET
-                or self._pick_axis(n_eps, workers) == "database"):
+                or self._pick_axis(n_eps) == "database"):
             # the n-gram pass / state-summarization carry decompose the
             # *database*, where the trie offers nothing — flat path
             return self.count(db, trie.matrix, alphabet_size, policy,
                               window, index=index)
-        groups = trie.subtree_index_groups(workers)
+        groups = trie.subtree_index_groups(self.workers)
         if len(groups) <= 1:
-            return self._local_inner.count_batch(
+            return self.inner.count_batch(
                 db, trie, alphabet_size, policy, window, index=index
             )
         matrix = trie.matrix
@@ -1392,7 +1242,7 @@ class ShardedEngine(CountingEngine):
             out[rows] = results[("chunk", i)]
         return out
 
-    def _pick_axis(self, n_eps: int, workers: int | None = None) -> str:
+    def _pick_axis(self, n_eps: int) -> str:
         """SUBSEQUENCE/EXPIRING axis choice.
 
         The episode axis is cheaper per character (the inner engine's
@@ -1403,9 +1253,7 @@ class ShardedEngine(CountingEngine):
         """
         if self.axis != "auto":
             return self.axis
-        if workers is None:
-            workers = self.workers
-        return "episode" if n_eps >= workers else "database"
+        return "episode" if n_eps >= self.workers else "database"
 
     def _payload(
         self,
@@ -1424,7 +1272,6 @@ class ShardedEngine(CountingEngine):
             "policy": policy.value,
             "window": window,
             "engine": self.inner.name,
-            "calibration": self._worker_calibration,
         }
         if db_key is not None:
             payload["db_key"] = db_key
@@ -1436,10 +1283,9 @@ class ShardedEngine(CountingEngine):
         matrix: np.ndarray,
         alphabet_size: int,
         policy: MatchPolicy,
-        workers: int,
     ) -> MapReduceJob:
         length = matrix.shape[1]
-        bounds = segment_bounds(db.size, workers)
+        bounds = segment_bounds(db.size, self.workers)
         inputs = [
             KeyValue("total", self._payload(db[lo:hi], matrix, alphabet_size,
                                             policy, None))
@@ -1463,10 +1309,9 @@ class ShardedEngine(CountingEngine):
         alphabet_size: int,
         policy: MatchPolicy,
         window: "int | None",
-        workers: int,
         index: "DatabaseIndex | None" = None,
     ) -> MapReduceJob:
-        chunk = -(-matrix.shape[0] // workers)
+        chunk = -(-matrix.shape[0] // self.workers)
         # workers cache their index under this key; a caller-supplied
         # index for this very database already carries the hash
         if index is not None and index.db is db:
@@ -1491,7 +1336,6 @@ class ShardedEngine(CountingEngine):
         alphabet_size: int,
         policy: MatchPolicy,
         window: "int | None",
-        workers: int,
         index: "DatabaseIndex | None" = None,
     ) -> np.ndarray:
         """Two-pass state-summarization split along the database axis.
@@ -1509,16 +1353,16 @@ class ShardedEngine(CountingEngine):
         """
         bounds = [
             (lo, hi)
-            for lo, hi in segment_bounds(db.size, workers)
+            for lo, hi in segment_bounds(db.size, self.workers)
             if hi > lo
         ]
         if len(bounds) <= 1:
-            return self._local_inner.count(db, matrix, alphabet_size, policy,
-                                           window, index=index)
+            return self.inner.count(db, matrix, alphabet_size, policy,
+                                    window, index=index)
         pool, owned = self._acquire_run_pool()
         if pool is None:
-            return self._local_inner.count(db, matrix, alphabet_size, policy,
-                                           window, index=index)
+            return self.inner.count(db, matrix, alphabet_size, policy,
+                                    window, index=index)
         inputs = [
             KeyValue(
                 i,

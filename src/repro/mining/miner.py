@@ -87,27 +87,12 @@ def eliminate_level(
     return result, frequent
 
 
-def calibration_provenance(explicit: "object | None") -> "dict[str, object]":
-    """Describe which calibration profile shaped a run, for run reports.
-
-    ``explicit`` is a caller-supplied profile (``source: "explicit"``);
-    ``None`` resolves the ambient profile the engines would see
-    (``source: "ambient"``), and ``{"source": "none"}`` means dispatch
-    ran on built-in defaults.
-    """
-    profile, source = explicit, "explicit"
-    if profile is None:
-        from repro.mining.calibration import active_profile
-
-        profile, source = active_profile(), "ambient"
-    if profile is None:
-        return {"source": "none"}
-    return {
-        "source": source,
-        "host": getattr(profile, "host", None),
-        "created": getattr(profile, "created", None),
-        "schema": getattr(profile, "schema", None),
-    }
+def calibration_provenance(profile: None = None) -> "dict[str, object]":
+    """The ``calibration`` entry of a run report: always ``{"source":
+    "none"}``, because dispatch is a fixed rule with no profile (see
+    :mod:`repro.mining.engines`).  Kept so reports keep their schema
+    and for the ``perfbench`` harness, which records it per run."""
+    return {"source": "none"}
 
 
 @dataclass(frozen=True)
@@ -155,13 +140,6 @@ class FrequentEpisodeMiner:
         Registry engines share one
         :class:`~repro.mining.counting.DatabaseIndex` across all levels
         of a run.
-    calibration:
-        An explicit :class:`~repro.mining.calibration.CalibrationProfile`
-        applied to the engine via ``with_profile`` (the ``auto`` and
-        ``sharded`` tiers tune their dispatch from it; exact counts are
-        unaffected).  ``None`` leaves ambient profile resolution in
-        effect; requires a registry engine (names or instances), not a
-        plain callable.
     max_level:
         Safety cap on the level loop (the paper's evaluation stops at
         L=3; mining real data can run deeper).
@@ -190,7 +168,6 @@ class FrequentEpisodeMiner:
         engine: "CountingEngine | RegistryEngine | str | None" = None,
         max_level: int = 8,
         exhaustive_candidates: bool = False,
-        calibration: "object | None" = None,
         recorder: "Recorder | NullRecorder | None" = None,
     ) -> None:
         if not 0.0 <= threshold < 1.0:
@@ -206,20 +183,13 @@ class FrequentEpisodeMiner:
         self.window = window
         self.max_level = max_level
         self.exhaustive_candidates = exhaustive_candidates
-        self.calibration = calibration
         self.recorder = recorder
         self._last_report: "RunReport | None" = None
         if engine is None or isinstance(engine, (str, RegistryEngine)):
-            resolved = get_engine(engine or "auto")
-            if calibration is not None:
-                resolved = resolved.with_profile(calibration)
-            self._engine = resolved.bind(alphabet.size, policy, window)
+            self._engine = get_engine(engine or "auto").bind(
+                alphabet.size, policy, window
+            )
         else:
-            if calibration is not None:
-                raise ValidationError(
-                    "calibration profiles apply to registry engines; "
-                    "got a plain callable engine"
-                )
             self._engine = engine
 
     def _engine_scope(self):
@@ -255,10 +225,6 @@ class FrequentEpisodeMiner:
         recorded run (``None`` until a ``mine()`` call runs with a real
         recorder; unrecorded runs leave the previous report in place)."""
         return self._last_report
-
-    def _calibration_provenance(self) -> "dict[str, object]":
-        """Which calibration profile shaped this run, for the report."""
-        return calibration_provenance(self.calibration)
 
     def mine(self, db: np.ndarray) -> MiningResult:
         """Run Algorithm 1 over ``db`` and return all frequent episodes.
@@ -353,7 +319,7 @@ class FrequentEpisodeMiner:
                 command="mine",
                 degradation_events=self.degradation_events,
                 cache=cache.stats() if cache is not None else None,
-                calibration=self._calibration_provenance(),
+                calibration=calibration_provenance(),
                 meta={
                     "engine": getattr(
                         getattr(engine, "engine", engine), "name",
@@ -381,7 +347,7 @@ class FrequentEpisodeMiner:
         is exactly ``mine(concatenated_stream)`` — counting is carried
         incrementally across chunks by a
         :class:`~repro.streaming.StreamingMiner` configured like this
-        miner (same alphabet/threshold/policy/engine/calibration);
+        miner (same alphabet/threshold/policy/engine);
         windowed mode mines the trailing ``horizon`` events.  Requires
         a registry engine (plain callables cannot be dispatched
         per-chunk).
@@ -399,7 +365,6 @@ class FrequentEpisodeMiner:
             self.threshold,
             policy=self.policy,
             window=self.window,
-            # the bound engine already carries with_profile(calibration)
             engine=self._engine.engine,
             mode=mode,
             horizon=horizon,

@@ -72,24 +72,13 @@ class PipelinedMiner:
 
     Parameters mirror :class:`~repro.mining.miner.FrequentEpisodeMiner`;
     ``host_ms_per_candidate`` models the host-side generation cost the
-    pipeline hides.  Left ``None`` it is *measured*, not guessed: the
-    active calibration profile's pool-dispatch probe
-    (:meth:`~repro.mining.calibration.ShardingCosts.
-    per_candidate_dispatch_ms`) supplies the per-record host overhead —
-    the explicit ``calibration`` profile first, else the ambient one —
-    falling back to the historical ``DEFAULT_HOST_MS_PER_CANDIDATE``
-    when no profile (or no sharding probe) is available.
-    ``host_ms_source`` records which of the three applied.
+    pipeline hides (``DEFAULT_HOST_MS_PER_CANDIDATE`` when ``None``).
     ``max_speculative`` caps how many candidates one speculative level
     may materialize; levels beyond the cap run sequentially on
     ``engine`` (a counting-engine registry name or instance).
-    ``calibration`` threads an explicit
-    :class:`~repro.mining.calibration.CalibrationProfile` into that
-    engine (``with_profile``); ambient resolution applies otherwise.
     """
 
-    #: fallback host-side cost per candidate (ms) when neither an
-    #: explicit value nor a measured profile applies
+    #: host-side cost per candidate (ms) when the caller passes none
     DEFAULT_HOST_MS_PER_CANDIDATE = 0.001
 
     def __init__(
@@ -102,7 +91,6 @@ class PipelinedMiner:
         concurrent_kernels: bool = False,
         max_speculative: int = 200_000,
         engine: "str | CountingEngine" = "auto",
-        calibration: "object | None" = None,
     ) -> None:
         if not 0.0 <= threshold < 1.0:
             raise ValidationError(f"threshold must be in [0, 1), got {threshold}")
@@ -116,31 +104,13 @@ class PipelinedMiner:
         self.alphabet = alphabet
         self.threshold = threshold
         self.max_level = max_level
-        if host_ms_per_candidate is not None:
-            self.host_ms_per_candidate = host_ms_per_candidate
-            self.host_ms_source = "explicit"
-        else:
-            from repro.mining import calibration as _calibration
-
-            profile = (
-                calibration if calibration is not None
-                else _calibration.active_profile()
-            )
-            sharding = getattr(profile, "sharding", None)
-            if sharding is not None:
-                self.host_ms_per_candidate = (
-                    sharding.per_candidate_dispatch_ms()
-                )
-                self.host_ms_source = "calibrated"
-            else:
-                self.host_ms_per_candidate = self.DEFAULT_HOST_MS_PER_CANDIDATE
-                self.host_ms_source = "default"
+        self.host_ms_per_candidate = (
+            host_ms_per_candidate if host_ms_per_candidate is not None
+            else self.DEFAULT_HOST_MS_PER_CANDIDATE
+        )
         self.concurrent_kernels = concurrent_kernels
         self.max_speculative = max_speculative
         self._engine = get_engine(engine)
-        if calibration is not None:
-            self._engine = self._engine.with_profile(calibration)
-        self.calibration = calibration
         # content-addressed count dedupe for the sequential continuation
         # (a level re-counted against an unchanged database — e.g. a
         # re-mined run — costs zero engine calls)

@@ -517,6 +517,12 @@ def expiring_summary_trie(
     return counts, exit_times
 
 
+def _index_dtype(top: int) -> "type[np.signedinteger]":
+    """Narrowest index dtype holding ``0..top``: int32 while it fits
+    (half the memory of int64 on the leaf pass), int64 beyond."""
+    return np.int32 if top <= np.iinfo(np.int32).max else np.int64
+
+
 class _LeafBatch:
     """Deferred, fully vectorized resolution of a trie's leaf level.
 
@@ -603,7 +609,9 @@ class _LeafBatch:
         cnt = np.bincount(shifted_pred, minlength=len(children) * span + 1)
         below = np.concatenate(([0], np.cumsum(cnt)))
         jump = below[shifted_rank]  # parent-local completion index
-        self.jumps.append((jump + self.base).astype(np.int32))
+        self.jumps.append(
+            (jump + self.base).astype(_index_dtype(self.base + m))
+        )
         for c, (_, child) in enumerate(children):
             self.lo.append(self.base + int(offsets[c]))
             self.hi.append(self.base + int(offsets[c + 1]))
@@ -614,7 +622,7 @@ class _LeafBatch:
         total = self.base
         if total == 0:
             return
-        jump = np.empty(total + 1, dtype=np.int32)
+        jump = np.empty(total + 1, dtype=_index_dtype(total))
         pos = 0
         for frag in self.jumps:
             jump[pos:pos + frag.size] = frag

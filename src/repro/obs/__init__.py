@@ -4,8 +4,8 @@ The telemetry substrate the multi-dimensional characterization needs at
 *runtime* (ROADMAP items 2 and 4): a :class:`Recorder` collects a span
 tree with monotonic timings plus structural counters/gauges while a
 mining or streaming run executes, and a :class:`RunReport` serializes
-the result — spans, counters, degradation events, cache stats,
-calibration provenance — through the atomic artifact layer with a
+the result — spans, counters, degradation events, cache stats —
+through the atomic artifact layer with a
 versioned schema.
 
 Design rules (see CONTRACTS.md · Observability contract):

@@ -3,15 +3,15 @@
 Counting paths (``repro.mining`` / ``repro.streaming``) must stay pure
 functions of the event stream — REP006 forbids clock reads there, and
 checkpoint/resume bit-identity depends on it.  But the *measurement*
-side of the reproduction (calibration probes, the reference miner's
-timing report, span telemetry) legitimately reads the monotonic clock.
+side of the reproduction (the reference miner's timing report, span
+telemetry) legitimately reads the monotonic clock.
 This module is the one blessed route: every timing read in the repo
 goes through :func:`now`, so the lint rule can treat ``repro.obs.clock``
 as the sole sanctioned seam and the full set of timing sites stays
 greppable in one place.
 
 Nothing here may ever feed *counted* state — timings go into spans,
-reports, and calibration profiles, never into candidate generation or
+and reports, never into candidate generation or
 elimination decisions.
 """
 

@@ -110,7 +110,7 @@ class Recorder:
     """Collects one run's span tree, counters, and gauges.
 
     One recorder observes one logical run (a ``mine()`` call, a
-    consumed stream, a calibration pass); hand a fresh instance to each
+    consumed stream); hand a fresh instance to each
     run whose trace should stand alone.  ``balanced`` is True whenever
     no span is currently open — after any completed run, including runs
     that raised, the tree must be balanced (tested under injected

@@ -2,8 +2,10 @@
 
 A :class:`RunReport` snapshots a :class:`~repro.obs.recorder.Recorder`
 plus the run's structural context — degradation events from the
-supervised fleet, count-cache statistics, calibration provenance — into
-one JSON payload with a versioned schema (:data:`REPORT_SCHEMA`).
+supervised fleet, count-cache statistics, the ``calibration`` entry
+(``{"source": "none"}`` from the miners, whose dispatch is a fixed
+rule; kept so schema-1 reports keep loading) — into one JSON payload
+with a versioned schema (:data:`REPORT_SCHEMA`).
 Writes are atomic through :func:`repro.resilience.artifacts.
 write_json_artifact`; reads route through ``read_json_artifact`` so a
 truncated or wrong-schema file fails as a structured

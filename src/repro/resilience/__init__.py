@@ -2,7 +2,7 @@
 
 The paper's engines are exact but assume a healthy host: a worker death
 used to silently recompute the whole counting call in-process, a killed
-stream run lost all carried state, and an interrupted profile write
+stream run lost all carried state, and an interrupted artifact write
 could leave a torn JSON file behind.  This package gives the counting
 engines and the streaming subsystem explicit *failure semantics*:
 
@@ -12,7 +12,7 @@ engines and the streaming subsystem explicit *failure semantics*:
   seeded exponential backoff and only *unfinished* shards are
   re-dispatched; hung shards past their deadline are reclaimed and
   recounted in-process; repeated failure degrades down an explicit
-  chain (sharded -> calibrated single-process engine) with a structured
+  chain (sharded -> single-process inner engine) with a structured
   :class:`~repro.resilience.supervisor.DegradationEvent` recorded on
   the run scope.  :class:`~repro.mining.engines.ShardedEngine` runs
   every pooled job through this supervisor.
@@ -27,7 +27,7 @@ engines and the streaming subsystem explicit *failure semantics*:
   (production) means zero overhead and zero behaviour change.
 * :mod:`repro.resilience.atomic` — write-temp + ``os.replace`` file
   updates, so an interrupted writer can never leave a torn
-  ``calibration.json``, ``BENCH_engines.json``, or stream checkpoint:
+  ``BENCH_engines.json``, run report, or stream checkpoint:
   readers observe either the old complete file or the new complete
   file, never a prefix.
 * :mod:`repro.resilience.artifacts` — schema-checked JSON artifact IO:
@@ -40,8 +40,8 @@ engines and the streaming subsystem explicit *failure semantics*:
 
 Everything here is advisory-to-exactness: supervision and fault
 recovery move *where* counting happens (pool, respawned pool, or
-in-process), never what is counted — the same invariant the calibration
-layer already obeys.
+in-process), never what is counted — the same invariant engine
+dispatch obeys.
 """
 
 from repro.resilience.artifacts import read_json_artifact, write_json_artifact

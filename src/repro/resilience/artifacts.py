@@ -1,8 +1,7 @@
 """Schema-checked JSON artifact IO: read loudly, write atomically.
 
 The repo's JSON artifacts — the benchmark trajectory
-(``benchmarks/BENCH_engines.json``), calibration profiles, the lint
-baseline — share two failure modes: a *missing* file (never generated,
+(``benchmarks/BENCH_engines.json``), run reports, the lint baseline — share two failure modes: a *missing* file (never generated,
 wrong path) and a *truncated or mangled* file (disk corruption; atomic
 writes make an untimely ^C impossible, see
 :mod:`repro.resilience.atomic`).  :func:`read_json_artifact` turns both

@@ -4,9 +4,8 @@ A reader racing an interrupted writer must observe either the old
 complete file or the new complete file — never a prefix of the new one.
 ``os.replace`` gives exactly that on every platform the repo targets,
 provided the temp file lives on the same filesystem as the target
-(hence: same directory).  The calibration profile
-(:func:`repro.mining.calibration.save_profile`), the benchmark
-trajectory (``benchmarks/bench_engines.py``), and the streaming
+(hence: same directory).  Run reports and the benchmark
+trajectory (through :mod:`repro.resilience.artifacts`) and the streaming
 checkpoint writer (:mod:`repro.streaming.checkpoint`) all write through
 here, which is what makes their corrupt-file warning/error paths
 reachable only by genuine disk corruption, not by an untimely ^C.

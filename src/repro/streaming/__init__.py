@@ -28,8 +28,8 @@ candidate trie so shared prefixes share hop chains
 (:func:`~repro.mining.trie.resume_positions_trie`, reached via the
 engine's ``resume_batch``).  RESET — whose occurrences never span more
 than a chunk seam — instead engine-counts the chunk standalone (any
-:mod:`repro.mining.engines` REGISTRY engine, with calibration profiles
-steering dispatch as in batch mining) and replays the boundary window
+:mod:`repro.mining.engines` REGISTRY engine, dispatched by the same
+fixed rule as in batch mining) and replays the boundary window
 (the last ``L-1`` retained events against the chunk head).  Either
 way the exit state persisted in the
 :class:`~repro.streaming.store.EpisodeStateStore` is bit-identical to

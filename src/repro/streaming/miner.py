@@ -35,10 +35,9 @@ binds are exact lower bounds over the discarded prefix (see
 Counting dispatch goes through the engine registry: a
 ``consume``/``mine_stream`` call leases the engine's run scope once for
 the whole stream, so a ``sharded`` engine spawns its worker pool once
-per stream — not once per chunk — and an explicit or ambient
-calibration profile (:mod:`repro.mining.calibration`) steers the
-``auto`` tier exactly as it does in batch mining.  A bare ``update``
-call still scopes itself.
+per stream — not once per chunk — and the ``auto`` tier applies the
+same fixed dispatch rule as in batch mining.  A bare ``update`` call
+still scopes itself.
 """
 
 from __future__ import annotations
@@ -199,7 +198,6 @@ class StreamingMiner:
         policy: MatchPolicy = MatchPolicy.RESET,
         window: "int | None" = None,
         engine: "str | RegistryEngine | None" = None,
-        calibration: "object | None" = None,
         mode: str = "landmark",
         horizon: "int | None" = None,
         max_level: int = 8,
@@ -246,11 +244,7 @@ class StreamingMiner:
         self.max_level = max_level
         self.exhaustive_candidates = exhaustive_candidates
         self.retention = retention
-        self.calibration = calibration
-        resolved = get_engine(engine or "auto")
-        if calibration is not None:
-            resolved = resolved.with_profile(calibration)
-        self._engine = resolved
+        self._engine = get_engine(engine or "auto")
         # content-addressed count dedupe for the engine hook: promotion
         # backfills over an unchanged retained prefix hit the cache
         # instead of re-dispatching the engine
@@ -322,7 +316,7 @@ class StreamingMiner:
             command="stream",
             degradation_events=tuple(self._sup_events),
             cache=self._count_cache.stats(),
-            calibration=calibration_provenance(self.calibration),
+            calibration=calibration_provenance(),
             meta={
                 "engine": getattr(
                     self._engine, "name", type(self._engine).__name__
@@ -473,13 +467,12 @@ class StreamingMiner:
         cls,
         path: "str | Path",
         engine: "str | RegistryEngine | None" = None,
-        calibration: "object | None" = None,
     ) -> "StreamingMiner":
         """Rebuild a miner from a :meth:`checkpoint` file.
 
         Mining configuration (alphabet, threshold, policy, window,
         mode, horizon, retention, level cap) comes from the checkpoint;
-        ``engine`` and ``calibration`` may differ from the writer's —
+        ``engine`` may differ from the writer's —
         every registry engine is exact, so the choice moves speed,
         never counts.  Feeding the resumed miner the chunks the writer
         had not yet consumed yields results bit-identical to an
@@ -502,7 +495,6 @@ class StreamingMiner:
                 policy=MatchPolicy(cfg["policy"]),
                 window=cfg["window"],
                 engine=engine,
-                calibration=calibration,
                 mode=cfg["mode"],
                 horizon=cfg["horizon"],
                 max_level=cfg["max_level"],

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.mining import calibration as _calibration
 from repro import (
     GpuSimulator,
     MiningProblem,
@@ -14,23 +13,6 @@ from repro import (
     get_card,
     random_database,
 )
-
-
-@pytest.fixture(autouse=True)
-def _fixed_engine_heuristics():
-    """Pin the ambient calibration profile off for every test.
-
-    Engine-dispatch assertions (e.g. ``AutoEngine`` choosing the sweep
-    for short databases) must not depend on whatever
-    ``benchmarks/calibration.json`` or ``REPRO_CALIBRATION`` a
-    developer's machine happens to carry.  Tests that exercise ambient
-    resolution (``tests/test_calibration.py``) re-open it with their
-    own fixture; explicit ``profile=``/``calibration=`` arguments are
-    unaffected either way.
-    """
-    _calibration.set_active_profile(None)
-    yield
-    _calibration.reset_active_profile()
 
 
 @pytest.fixture(scope="session")

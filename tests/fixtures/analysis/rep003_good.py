@@ -9,7 +9,7 @@ def count_scoped(db, episodes, alphabet_size):
 
 
 def count_aliased(db, episodes, alphabet_size):
-    with get_engine("sharded").with_profile(None) as eng:
+    with get_engine("sharded") as eng:
         return eng.count(db, episodes, alphabet_size)
 
 

@@ -420,7 +420,6 @@ def test_mypy_strict_packages():
             "-m",
             "mypy",
             "src/repro/mining/engines.py",
-            "src/repro/mining/calibration.py",
             "src/repro/streaming",
             "src/repro/resilience",
             "src/repro/obs",

@@ -54,10 +54,9 @@ def test_engine_throughput_no_regression():
     )
     problems = check_regression.compare(reference, fresh)
     problems += check_regression.check_invariants(fresh, min_speedup=2.0)
-    # no-ops for the engine subset above (no sharded/auto-calibration
-    # series), but keeps the wiring uniform with the standalone gate
+    # a no-op for the engine subset above (no sharded series), but
+    # keeps the wiring uniform with the standalone gate
     problems += check_regression.check_sharded_scaling(fresh)
-    problems += check_regression.check_auto_calibration(fresh)
     problems += check_regression.check_streaming(reference, fresh)
     problems += check_regression.check_trie_batch(fresh)
     problems += check_regression.check_telemetry(fresh)

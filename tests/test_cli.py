@@ -1,16 +1,8 @@
 """Tests for the command-line interface."""
 
-import json
-
 import pytest
 
 from repro.cli import main
-from repro.mining import calibration as cal
-
-
-# ambient-profile isolation is provided suite-wide by the
-# ``_fixed_engine_heuristics`` autouse fixture in conftest.py; CLI flags
-# that pin the ambient profile (``--no-calibration``) are reset there
 
 
 class TestTables:
@@ -144,95 +136,6 @@ class TestMine:
         out = capsys.readouterr().out
         assert "policy=expiring" in out
         assert "sharded over 2 workers" in out
-
-
-class TestCalibrate:
-    def test_calibrate_writes_profile(self, capsys, tmp_path):
-        out = tmp_path / "calibration.json"
-        assert main([
-            "calibrate", "--quick", "--repeats", "1", "--out", str(out),
-        ]) == 0
-        stdout = capsys.readouterr().out
-        assert "calibrated host" in stdout
-        assert "subsequence" in stdout and "expiring" in stdout
-        payload = json.loads(out.read_text())
-        assert payload["schema"] == cal.CALIBRATION_SCHEMA
-        assert payload["host"] == cal.host_fingerprint()
-        assert set(payload["thresholds"]) == {"subsequence", "expiring"}
-
-    def test_calibrate_any_host_stamps_wildcard(self, capsys, tmp_path):
-        out = tmp_path / "calibration.json"
-        assert main([
-            "calibrate", "--quick", "--repeats", "1", "--any-host",
-            "--out", str(out),
-        ]) == 0
-        assert json.loads(out.read_text())["host"] == cal.ANY_HOST
-
-    def test_mine_consumes_calibrate_output(self, capsys, tmp_path):
-        """The end-to-end loop: calibrate, then mine with the profile."""
-        out = tmp_path / "calibration.json"
-        assert main([
-            "calibrate", "--quick", "--repeats", "1", "--out", str(out),
-        ]) == 0
-        capsys.readouterr()
-        assert main([
-            "mine", "--events", "3000", "--engine", "auto",
-            "--policy", "subsequence", "--calibration", str(out),
-        ]) == 0
-        stdout = capsys.readouterr().out
-        assert "calibration profile:" in stdout
-        assert "frequent" in stdout
-
-
-class TestMineCalibrationFlags:
-    def test_no_calibration_reports_fixed_heuristics(self, capsys):
-        assert main([
-            "mine", "--events", "3000", "--engine", "auto",
-            "--no-calibration",
-        ]) == 0
-        assert "calibration disabled" in capsys.readouterr().out
-
-    def test_missing_profile_is_clean_error(self, capsys, tmp_path):
-        assert main([
-            "mine", "--events", "3000", "--engine", "auto",
-            "--calibration", str(tmp_path / "absent.json"),
-        ]) == 2
-        assert "missing or unreadable" in capsys.readouterr().err
-
-    def test_corrupted_profile_is_clean_error(self, capsys, tmp_path):
-        bad = tmp_path / "calibration.json"
-        bad.write_text("{broken")
-        with pytest.warns(RuntimeWarning, match="unreadable calibration"):
-            rc = main([
-                "mine", "--events", "3000", "--engine", "auto",
-                "--calibration", str(bad),
-            ])
-        assert rc == 2
-        assert "missing or unreadable" in capsys.readouterr().err
-
-    def test_flags_mutually_exclusive(self, capsys):
-        assert main([
-            "mine", "--events", "100", "--no-calibration",
-            "--calibration", "x.json",
-        ]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
-    def test_calibration_composes_with_workers(self, capsys, tmp_path):
-        profile = cal.CalibrationProfile(
-            thresholds={
-                "subsequence": cal.PolicyThresholds(4096, 8.0),
-                "expiring": cal.PolicyThresholds(4096, 8.0),
-            },
-        )
-        path = cal.save_profile(profile, tmp_path / "calibration.json")
-        assert main([
-            "mine", "--events", "3000", "--engine", "auto",
-            "--workers", "2", "--min-shard-work", "0",
-            "--calibration", str(path),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "sharded over 2 workers" in out
-        assert "calibration profile:" in out
 
 
 class TestProbe:

@@ -7,6 +7,8 @@ equivalence across all three policies, including window edge cases
 the :class:`~repro.mining.episode.Episode` type cannot express.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -327,6 +329,16 @@ class TestShardedEngine:
         got = engine.count(db, eps, 5, policy, window)
         ref = count_batch_reference(db, eps, 5, policy, window)
         assert np.array_equal(got, ref), policy
+
+    def test_unset_settings_take_fixed_defaults(self):
+        engine = ShardedEngine()
+        assert engine.workers == min(os.cpu_count() or 1, 8)
+        assert engine.min_shard_work == ShardedEngine.DEFAULT_MIN_SHARD_WORK
+        assert ShardedEngine.DEFAULT_MIN_SHARD_WORK == 1 << 21
+
+    def test_explicit_settings_honored_verbatim(self):
+        engine = ShardedEngine(workers=2, min_shard_work=123)
+        assert (engine.workers, engine.min_shard_work) == (2, 123)
 
     def test_small_problems_run_inline(self):
         engine = ShardedEngine(workers=4)  # default threshold: stays inline
@@ -783,6 +795,60 @@ class TestGpuSimEngine:
         assert out.shape == (0,)
 
 
+class TestGpuSimEngineDrivesMiner:
+    """``GpuSimEngine`` passed to the miner as its engine: exact counts,
+    launch reports, and policy passthrough through the bound path."""
+
+    @pytest.fixture()
+    def workload(self):
+        alpha = Alphabet.of_size(6)
+        db = np.random.default_rng(17).integers(0, 6, 2000).astype(np.uint8)
+        return alpha, db
+
+    @staticmethod
+    def _mine(alpha, db, engine, policy=MatchPolicy.RESET):
+        # threshold 0 keeps every episode that occurs, so the result
+        # compares exact counts for the whole candidate space
+        return FrequentEpisodeMiner(
+            alpha, 0.0, policy=policy, engine=engine, max_level=2
+        ).mine(db).all_frequent
+
+    @pytest.mark.parametrize("algorithm", [3, "auto"])
+    def test_counts_match_host(self, workload, algorithm):
+        alpha, db = workload
+        engine = GpuSimEngine(algorithm=algorithm, threads_per_block=64)
+        assert self._mine(alpha, db, engine) == self._mine(
+            alpha, db, "position-hop"
+        )
+        assert engine.reports
+
+    def test_reports_accumulate(self, workload):
+        alpha, db = workload
+        engine = GpuSimEngine(algorithm=1, threads_per_block=64)
+        self._mine(alpha, db, engine)
+        per_run = len(engine.reports)
+        self._mine(alpha, db, engine)  # a fresh miner: no count-cache hits
+        assert per_run == 2  # one launch per level
+        assert len(engine.reports) == 2 * per_run
+        assert engine.total_kernel_ms > 0
+
+    def test_policy_passthrough(self, workload):
+        alpha, db = workload
+        engine = GpuSimEngine(algorithm=2, threads_per_block=64)
+        got = self._mine(alpha, db, engine, MatchPolicy.SUBSEQUENCE)
+        assert got == self._mine(alpha, db, "position-hop",
+                                 MatchPolicy.SUBSEQUENCE)
+        assert got != self._mine(alpha, db, "position-hop")
+
+    def test_symbols_beyond_uint8_rejected(self, workload):
+        """Symbols >= 256 must raise, never wrap modulo 256 into
+        silently wrong counts."""
+        alpha, _ = workload
+        miner = FrequentEpisodeMiner(alpha, 0.0, engine=GpuSimEngine())
+        with pytest.raises(ValidationError):
+            miner.mine(np.array([0, 1, 258], dtype=np.int64))
+
+
 class TestSelectionCache:
     """Memoized adaptive selection must be invisible except in speed."""
 
@@ -823,17 +889,79 @@ class TestSelectionCache:
         assert selector.cache_size == 0
 
 
-class TestAutoSelection:
-    def test_long_db_prefers_position_hop(self):
-        auto = AutoEngine()
-        chosen = auto.select(100_000, 500, MatchPolicy.SUBSEQUENCE)
-        assert chosen.name == "position-hop"
+#: (n, E, engine auto must pick) for SUBSEQUENCE and EXPIRING: sweep iff
+#: n < 4096 and n < 8 * E
+AUTO_BOUNDARY = [
+    (4095, 1000, "vector-sweep"),  # just under the absolute cap
+    (4096, 1000, "position-hop"),  # at the cap
+    (799, 100, "vector-sweep"),  # n = 8E - 1
+    (800, 100, "position-hop"),  # n = 8E
+    (0, 1, "vector-sweep"),
+    (300, 650, "vector-sweep"),
+    (100_000, 500, "position-hop"),
+]
 
-    def test_short_db_large_batch_prefers_sweep(self):
-        auto = AutoEngine()
-        chosen = auto.select(300, 650, MatchPolicy.SUBSEQUENCE)
-        assert chosen.name == "vector-sweep"
+
+class TestAutoSelection:
+    def test_fixed_constants(self):
+        assert AutoEngine.SWEEP_MAX_N == 4096
+        assert AutoEngine.SWEEP_CHARS_PER_EPISODE == 8
+
+    @pytest.mark.parametrize("policy", [MatchPolicy.SUBSEQUENCE,
+                                        MatchPolicy.EXPIRING])
+    @pytest.mark.parametrize("n,n_eps,expected", AUTO_BOUNDARY)
+    def test_boundary(self, policy, n, n_eps, expected):
+        assert AutoEngine().select(n, n_eps, policy).name == expected
+
+    @pytest.mark.parametrize("n,n_eps", [(n, e) for n, e, _ in AUTO_BOUNDARY])
+    def test_reset_always_position_hop(self, n, n_eps):
+        chosen = AutoEngine().select(n, n_eps, MatchPolicy.RESET)
+        assert chosen.name == "position-hop"
 
     def test_count_candidates_guard(self):
         # sanity for the pipeline cap logic
         assert count_candidates(26, 3) == 15_600
+
+
+class TestFixedDispatchSurface:
+    """What is left of the retired per-host calibration: the names the
+    perfbench harness calls, and the run-report entry they fill."""
+
+    def test_set_active_profile_none_is_a_no_op(self):
+        from repro.mining.calibration import set_active_profile
+
+        assert set_active_profile(None) is None
+        chosen = AutoEngine().select(799, 100, MatchPolicy.SUBSEQUENCE)
+        assert chosen.name == "vector-sweep"
+
+    def test_set_active_profile_rejects_a_profile(self):
+        from repro.mining.calibration import set_active_profile
+
+        with pytest.raises(ConfigError):
+            set_active_profile({"thresholds": {}})
+
+    def test_calibration_provenance_is_none(self):
+        from repro.mining.miner import calibration_provenance
+
+        assert calibration_provenance(None) == {"source": "none"}
+
+    def test_batch_report_records_no_calibration(self):
+        from repro.obs import Recorder
+
+        alpha = Alphabet.of_size(4)
+        db = np.random.default_rng(5).integers(0, 4, 600).astype(np.uint8)
+        miner = FrequentEpisodeMiner(alpha, 0.01, max_level=2,
+                                     recorder=Recorder())
+        miner.mine(db)
+        assert miner.last_report.calibration == {"source": "none"}
+
+    def test_stream_report_records_no_calibration(self):
+        from repro.obs import Recorder
+        from repro.streaming import StreamingMiner
+
+        alpha = Alphabet.of_size(4)
+        db = np.random.default_rng(6).integers(0, 4, 600).astype(np.uint8)
+        miner = StreamingMiner(alpha, 0.01, max_level=2, recorder=Recorder())
+        miner.update(db[:300])
+        miner.update(db[300:])
+        assert miner.last_report.calibration == {"source": "none"}

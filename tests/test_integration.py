@@ -5,7 +5,7 @@ import pytest
 
 from repro import (
     FrequentEpisodeMiner,
-    GpuCountingEngine,
+    GpuSimEngine,
     GpuSimulator,
     MiningProblem,
     SerialMiner,
@@ -42,10 +42,7 @@ class TestEndToEndMining:
     def test_gpu_mining_equals_serial_mining(self, stream):
         alphabet, db = stream
         serial = SerialMiner(alphabet, threshold=0.02, max_level=3).mine(db)
-        engine = GpuCountingEngine(
-            device=get_card("GTX280"), alphabet_size=alphabet.size,
-            algorithm="auto",
-        )
+        engine = GpuSimEngine(device="GTX280", algorithm="auto")
         gpu = FrequentEpisodeMiner(
             alphabet, threshold=0.02, engine=engine, max_level=3
         ).mine(db)
@@ -64,11 +61,8 @@ class TestEndToEndMining:
         alphabet, db = stream
         baseline = FrequentEpisodeMiner(alphabet, threshold=0.03).mine(db)
         for algo in (1, 2, 3, 4):
-            engine = GpuCountingEngine(
-                device=get_card("GTX280"),
-                alphabet_size=alphabet.size,
-                algorithm=algo,
-                threads_per_block=64,
+            engine = GpuSimEngine(
+                device="GTX280", algorithm=algo, threads_per_block=64
             )
             mined = FrequentEpisodeMiner(
                 alphabet, threshold=0.03, engine=engine

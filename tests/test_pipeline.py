@@ -140,81 +140,33 @@ class TestSpeculativeCap:
             )
 
 
-class TestCalibratedHostCost:
-    """host_ms_per_candidate resolves from the measured dispatch probe."""
-
-    def _profile(self, dispatch_s=0.008, workers=4):
-        from repro.mining.calibration import CalibrationProfile, ShardingCosts
-
-        return CalibrationProfile(
-            thresholds={},
-            sharding=ShardingCosts(
-                pool_spawn_s=0.05, dispatch_s=dispatch_s, ops_per_sec=2e8,
-                probed_workers=workers,
-            ),
-        )
+class TestHostCost:
+    """host_ms_per_candidate: the caller's value, else the fixed default."""
 
     def test_explicit_value_wins(self, workload):
         alpha, _ = workload
         miner = PipelinedMiner(
-            GEFORCE_GTX_280, alpha, threshold=0.05,
-            host_ms_per_candidate=0.25, calibration=self._profile(),
+            GEFORCE_GTX_280, alpha, threshold=0.05, host_ms_per_candidate=0.25,
         )
         assert miner.host_ms_per_candidate == 0.25
-        assert miner.host_ms_source == "explicit"
 
-    def test_profile_feeds_measured_cost(self, workload):
-        alpha, _ = workload
-        profile = self._profile(dispatch_s=0.008, workers=4)
-        miner = PipelinedMiner(
-            GEFORCE_GTX_280, alpha, threshold=0.05, calibration=profile,
-        )
-        assert miner.host_ms_source == "calibrated"
-        assert miner.host_ms_per_candidate == pytest.approx(
-            profile.sharding.per_candidate_dispatch_ms()
-        )
-
-    def test_ambient_profile_consulted(self, workload):
-        from repro.mining import calibration as cal
-
-        alpha, _ = workload
-        profile = self._profile(dispatch_s=0.004, workers=2)
-        cal.set_active_profile(profile)
-        try:
-            miner = PipelinedMiner(GEFORCE_GTX_280, alpha, threshold=0.05)
-        finally:
-            cal.set_active_profile(None)
-        assert miner.host_ms_source == "calibrated"
-        assert miner.host_ms_per_candidate == pytest.approx(2.0)
-
-    def test_no_profile_falls_back_to_default(self, workload):
+    def test_unset_uses_default(self, workload):
         alpha, _ = workload
         miner = PipelinedMiner(GEFORCE_GTX_280, alpha, threshold=0.05)
-        assert miner.host_ms_source == "default"
         assert (
             miner.host_ms_per_candidate
             == PipelinedMiner.DEFAULT_HOST_MS_PER_CANDIDATE
         )
 
-    def test_profile_without_sharding_probe_falls_back(self, workload):
-        from repro.mining.calibration import CalibrationProfile
-
-        alpha, _ = workload
-        miner = PipelinedMiner(
-            GEFORCE_GTX_280, alpha, threshold=0.05,
-            calibration=CalibrationProfile(thresholds={}),
-        )
-        assert miner.host_ms_source == "default"
-
-    def test_measured_cost_shapes_hidden_host_work(self, workload):
+    def test_host_cost_shapes_hidden_host_work(self, workload):
         alpha, db = workload
         cheap = PipelinedMiner(
             GEFORCE_GTX_280, alpha, threshold=0.05, max_level=2,
-            calibration=self._profile(dispatch_s=0.0004, workers=4),
+            host_ms_per_candidate=0.1,
         ).mine(db)
         costly = PipelinedMiner(
             GEFORCE_GTX_280, alpha, threshold=0.05, max_level=2,
-            calibration=self._profile(dispatch_s=0.4, workers=4),
+            host_ms_per_candidate=100.0,
         ).mine(db)
         assert costly.host_ms_hidden > cheap.host_ms_hidden
         assert costly.result.all_frequent == cheap.result.all_frequent

@@ -672,6 +672,6 @@ class TestStreamCli:
         assert cli.main([
             "stream", "--engine", "sharded", "--min-shard-work", "0",
             "--chunks", "2", "--chunk-size", "600", "--alphabet-size", "5",
-            "--max-level", "2", "--no-calibration",
+            "--max-level", "2",
         ]) == 0
         assert "sharded over" in capsys.readouterr().out

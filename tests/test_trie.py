@@ -193,6 +193,42 @@ class TestTrieCounting:
         assert np.array_equal(got, ref)
 
 
+class TestLeafIndexWidth:
+    """Global leaf-completion indices must not wrap past 2**31 - 1."""
+
+    @staticmethod
+    def _fragment(base):
+        from repro.mining.trie import _LeafBatch
+
+        db = np.array([0, 1] * 20, dtype=np.uint8)
+        index = DatabaseIndex(db)
+        trie = CandidateTrie.from_episodes([Episode((0, 1))])
+        (_, node), = trie.children_of(0)
+        ends = starts = index.positions(0)
+        batch = _LeafBatch(index.n)
+        batch.base = base
+        batch.add_parent(trie, index, node, ends, starts, None)
+        (frag,) = batch.jumps
+        return frag
+
+    def test_fragment_past_int32_is_exact(self):
+        local = self._fragment(0).astype(np.int64)
+        base = 2**31 - 8
+        frag = self._fragment(base)
+        assert local.max() + base > np.iinfo(np.int32).max
+        assert np.array_equal(frag.astype(np.int64), local + base)
+        assert frag.dtype == np.int64
+
+    def test_small_totals_stay_int32(self):
+        assert self._fragment(0).dtype == np.int32
+
+    def test_width_boundary(self):
+        from repro.mining.trie import _index_dtype
+
+        assert _index_dtype(2**31 - 1) is np.int32
+        assert _index_dtype(2**31) is np.int64
+
+
 class TestCountCache:
     def test_lru_eviction(self):
         cache = CountCache(max_entries=2)
