@@ -1,9 +1,10 @@
 """Counting-engine perf trajectory: emits ``BENCH_engines.json``.
 
 Measures counting throughput (episode-chars/sec, i.e. ``n * E /
-seconds``) per policy x engine x database size, so every future PR can
-be checked against the committed trajectory
-(``benchmarks/BENCH_engines.json``) with
+seconds``) per policy x engine x database size — each engine's
+``count_batch`` over a :class:`~repro.mining.trie.CandidateTrie`, the
+path the miners take — so every future PR can be checked against the
+committed trajectory (``benchmarks/BENCH_engines.json``) with
 ``benchmarks/check_regression.py``.
 
 The ``gpu-sim`` engine is benchmarked on its *simulated* kernel time
@@ -20,13 +21,13 @@ deterministic pool-spawn counters — evidence that the run-scoped
 lifecycle eliminates per-call pool spawn overhead
 (``check_regression.check_sharded_scaling`` gates it).
 
-The ``trie_batch`` series (schema 6) counts the full Table-1 level-3
-candidate grid on ``position-hop`` twice: flat (one position-list chain
-per episode, O(E*L) hops) and batched over the shared-prefix
+The ``trie_batch`` series (schema 9) times ``position-hop`` counting
+the full Table-1 level-3 candidate grid batched over the shared-prefix
 :class:`~repro.mining.trie.CandidateTrie` (one hop per trie *edge*,
-reusing the parent frontier for all children).  Counts must be
-bit-identical (checksummed; ``check_regression.check_trie_batch`` gates
-the equality hard) and the speedup column is gated >= 1.0x at level 3.
+reusing the parent frontier for all children), and counts the same
+trie once on ``vector-sweep``, an independent exact tier.  Counts must
+be bit-identical (checksummed; ``check_regression.check_trie_batch``
+gates the equality hard).
 
 The ``streaming_throughput`` series (schema 5) replays one seeded
 drifting event feed (:func:`repro.data.synthetic.stream_chunks`)
@@ -72,8 +73,9 @@ SRC = Path(__file__).parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-SCHEMA = 8  # 8: telemetry_overhead series gates the repro.obs recorder
-# cost (7: streaming position-hop chunk resume; 6: trie_batch series)
+SCHEMA = 9  # 9: every series counts tries; trie_batch checks against
+# vector-sweep (8: telemetry_overhead series gates the repro.obs
+# recorder cost; 7: streaming position-hop chunk resume; 6: trie_batch)
 DEFAULT_OUT = Path(__file__).parent / "BENCH_engines.json"
 
 #: engines timed on the policy-sensitive paths; "gpu-sim" rows use the
@@ -122,10 +124,11 @@ def run_bench(
     from repro.mining.counting import DatabaseIndex
     from repro.mining.engines import get_engine
     from repro.mining.policies import MatchPolicy
+    from repro.mining.trie import CandidateTrie
 
     rng = np.random.default_rng(seed)
     episodes = generate_level(UPPERCASE, level)[:n_episodes]
-    matrix = np.stack([e.array for e in episodes])
+    trie = CandidateTrie.from_episodes(episodes)
     results = []
     crossover = []
     for n in sizes:
@@ -146,7 +149,7 @@ def run_bench(
                 if name == "sharded":
                     # pin workers: the registry default is cpu_count, which
                     # is 1 on constrained hosts and would silently bench
-                    # the inline path instead of the MapReduce split
+                    # the inline path instead of the shard split
                     from repro.mining.engines import ShardedEngine
 
                     engine = ShardedEngine(workers=4, min_shard_work=0)
@@ -167,8 +170,8 @@ def run_bench(
                     # not per timed call, and released even if a count
                     # raises
                     with engine:
-                        counts = engine.count(
-                            db, matrix, UPPERCASE.size, policy, window,
+                        counts = engine.count_batch(
+                            db, trie, UPPERCASE.size, policy, window,
                             index=index,
                         )
                         if simulated:
@@ -178,8 +181,8 @@ def run_bench(
                             # silent drift
                             return counts, engine.reports[-1].total_ms / 1e3
                         return counts, _time_call(
-                            lambda: engine.count(
-                                db, matrix, UPPERCASE.size, policy, window,
+                            lambda: engine.count_batch(
+                                db, trie, UPPERCASE.size, policy, window,
                                 index=index,
                             )
                         )
@@ -284,16 +287,19 @@ def run_sharded_scaling(
     from repro.mining.candidates import generate_level
     from repro.mining.engines import ShardedEngine
     from repro.mining.policies import MatchPolicy
+    from repro.mining.trie import CandidateTrie
 
     rng = np.random.default_rng(seed)
     db = rng.integers(0, UPPERCASE.size, n).astype(np.uint8)
-    episodes = generate_level(UPPERCASE, LEVEL)[:n_episodes]
-    matrix = np.stack([e.array for e in episodes])
+    trie = CandidateTrie.from_episodes(
+        generate_level(UPPERCASE, LEVEL)[:n_episodes]
+    )
 
     def timed_calls(engine) -> float:
         t0 = time.perf_counter()
         for _ in range(calls):
-            engine.count(db, matrix, UPPERCASE.size, MatchPolicy.SUBSEQUENCE)
+            engine.count_batch(db, trie, UPPERCASE.size,
+                               MatchPolicy.SUBSEQUENCE)
         return (time.perf_counter() - t0) / calls
 
     rows = []
@@ -339,12 +345,12 @@ def run_sharded_scaling(
 
 #: trie_batch series parameters: the paper's full level-3 grid (N=26 ->
 #: 15,600 candidates, Table 1) where prefix sharing collapses 46,800
-#: flat hops to 16,276 trie edges; smoke runs shrink the alphabet
+#: per-episode hops to 16,276 trie edges; smoke runs shrink the alphabet
 TRIE_BATCH_N = 30_000
 TRIE_BATCH_ALPHABET = 26
 TRIE_BATCH_LEVEL = 3
-#: RESET is excluded: both paths take the same n-gram bincount kernel,
-#: so there is no trie-vs-flat contrast to measure
+#: RESET is excluded: it takes the n-gram bincount kernel, which never
+#: walks the trie
 TRIE_BATCH_POLICIES = (("subsequence", None), ("expiring", 6))
 
 
@@ -354,14 +360,15 @@ def run_trie_batch(
     level: int = TRIE_BATCH_LEVEL,
     seed: int = SEED,
 ) -> "list[dict]":
-    """Shared-prefix trie counting vs flat per-episode chains.
+    """Shared-prefix trie counting, checked against the vector sweep.
 
     Builds the full Table-1 level-``level`` candidate space as a
-    :class:`~repro.mining.trie.CandidateTrie`, then times
-    ``position-hop`` counting it flat (``count`` over the episode
-    matrix) and batched (``count_batch`` over the trie).  Counts must
-    be bit-identical; ``check_regression.check_trie_batch`` gates the
-    checksum equality hard and requires speedup >= 1.0 at level >= 3.
+    :class:`~repro.mining.trie.CandidateTrie`, times ``position-hop``
+    counting it, and counts the same trie once (untimed) on
+    ``vector-sweep`` — an independent exact tier that shares no hop
+    code.  Counts must be bit-identical;
+    ``check_regression.check_trie_batch`` gates the checksum equality
+    hard.
     """
     from repro.mining.alphabet import Alphabet
     from repro.mining.candidates import generate_level
@@ -374,26 +381,20 @@ def run_trie_batch(
     rng = np.random.default_rng(seed)
     db = rng.integers(0, alphabet.size, n).astype(np.uint8)
     trie = CandidateTrie.from_episodes(generate_level(alphabet, level))
-    matrix = trie.matrix
-    engine = get_engine("position-hop")
+    hop = get_engine("position-hop")
+    sweep = get_engine("vector-sweep")
     index = DatabaseIndex(db)
     rows = []
     for policy_value, window in TRIE_BATCH_POLICIES:
         policy = MatchPolicy(policy_value)
-        with engine:
-            flat = engine.count(
-                db, matrix, alphabet.size, policy, window, index=index
-            )
-            flat_s = _time_call(
-                lambda: engine.count(
-                    db, matrix, alphabet.size, policy, window, index=index
-                )
-            )
-            batched = engine.count_batch(
+        with sweep:
+            swept = sweep.count_batch(db, trie, alphabet.size, policy, window)
+        with hop:
+            batched = hop.count_batch(
                 db, trie, alphabet.size, policy, window, index=index
             )
             trie_s = _time_call(
-                lambda: engine.count_batch(
+                lambda: hop.count_batch(
                     db, trie, alphabet.size, policy, window, index=index
                 )
             )
@@ -407,20 +408,16 @@ def run_trie_batch(
             "window": window,
             "trie_nodes": trie.n_nodes,
             "trie_edges": trie.n_edges,
-            "flat_seconds": round(flat_s, 6),
             "trie_seconds": round(trie_s, 6),
-            "speedup_trie_vs_flat": round(flat_s / trie_s, 2) if trie_s else None,
-            "flat_checksum": int(flat.sum()),
+            "sweep_checksum": int(swept.sum()),
             "trie_checksum": int(batched.sum()),
-            "counts_identical": bool(np.array_equal(flat, batched)),
+            "counts_identical": bool(np.array_equal(swept, batched)),
         }
         rows.append(row)
         print(
             f"trie_batch   {policy_value:12s} n={n:>7,} "
-            f"E={len(trie)} L={level} flat {flat_s * 1e3:9.2f} ms, "
-            f"trie {trie_s * 1e3:9.2f} ms "
-            f"({row['speedup_trie_vs_flat']:.2f}x, "
-            f"identical={row['counts_identical']})"
+            f"E={len(trie)} L={level} trie {trie_s * 1e3:9.2f} ms "
+            f"(identical to vector-sweep={row['counts_identical']})"
         )
     return rows
 
@@ -602,12 +599,13 @@ def run_telemetry_overhead(
     from repro.mining.counting import DatabaseIndex
     from repro.mining.engines import get_engine
     from repro.mining.policies import MatchPolicy
+    from repro.mining.trie import CandidateTrie
     from repro.obs.recorder import NULL_RECORDER, Recorder
 
     rng = np.random.default_rng(seed)
     db = rng.integers(0, UPPERCASE.size, n).astype(np.uint8)
     episodes = generate_level(UPPERCASE, LEVEL)[:n_episodes]
-    matrix = np.stack([e.array for e in episodes])
+    trie = CandidateTrie.from_episodes(episodes)
     index = DatabaseIndex(db)
     engine = get_engine("auto")
     policy = MatchPolicy.SUBSEQUENCE
@@ -618,8 +616,8 @@ def run_telemetry_overhead(
         # (REP003; a no-op lease for the single-process tiers)
         with engine:
             for _ in range(passes):
-                counts = engine.count(
-                    db, matrix, UPPERCASE.size, policy, None, index=index
+                counts = engine.count_batch(
+                    db, trie, UPPERCASE.size, policy, None, index=index
                 )
         checksums.add(int(counts.sum()))
 
@@ -632,8 +630,8 @@ def run_telemetry_overhead(
                         with rec.span(
                             "level", level=level_i, candidates=len(episodes)
                         ) as sp:
-                            counts = engine.count(
-                                db, matrix, UPPERCASE.size, policy, None,
+                            counts = engine.count_batch(
+                                db, trie, UPPERCASE.size, policy, None,
                                 index=index,
                             )
                             frequent = int((counts >= 1).sum())

@@ -9,9 +9,9 @@ The library provides:
 * frequent episode mining (:mod:`repro.mining`) — the paper's temporal
   data-mining workload, with candidate generation, FSM counting under
   three matching policies, and boundary-span correction;
-* the four GPU algorithms and the adaptive selector (:mod:`repro.algos`);
-* a MapReduce framework the algorithms are expressed in
-  (:mod:`repro.mapreduce`);
+* the four GPU algorithms and the adaptive selector (:mod:`repro.algos`),
+  each expressing counting as the paper's map -> span fix -> reduce
+  pipeline;
 * workload generators (:mod:`repro.data`) and the experiment harness
   reproducing every table and figure (:mod:`repro.experiments`);
 * streaming episode mining (:mod:`repro.streaming`) — incremental,
@@ -160,7 +160,7 @@ __all__ = [
     "PAPER_DB_LENGTH",
     "generate_spike_stream",
     "generate_market_stream",
-    # mapreduce
+    # simulated-GPU counting engine
     "GpuSimEngine",
     # extensions
     "MultiGpu",

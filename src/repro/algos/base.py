@@ -34,6 +34,7 @@ from repro.gpu.memory import DeviceMemory
 from repro.gpu.specs import DeviceSpecs
 from repro.mining.episode import Episode, episodes_to_matrix
 from repro.mining.policies import MatchPolicy, validate_window
+from repro.mining.trie import CandidateTrie, as_trie
 
 
 def coerce_database(db: np.ndarray, alphabet_size: int) -> np.ndarray:
@@ -93,14 +94,16 @@ def _coerce_matrix(matrix: np.ndarray) -> np.ndarray:
 class MiningProblem:
     """One counting step: database x same-length episode batch.
 
-    ``episodes`` is either a tuple of :class:`Episode` objects or a raw
+    ``episodes`` is a tuple of :class:`Episode` objects, a raw
     ``(E, L)`` uint8 matrix — the matrix form admits repeated symbols
     within a row, which the distinct-item :class:`Episode` type cannot
-    express but the counting kernels handle exactly.
+    express but the counting kernels handle exactly — or a
+    :class:`~repro.mining.trie.CandidateTrie`, kept as given so a
+    counting engine's batch reaches the kernels without a rebuild.
     """
 
     db: np.ndarray
-    episodes: "tuple[Episode, ...] | np.ndarray"
+    episodes: "tuple[Episode, ...] | np.ndarray | CandidateTrie"
     alphabet_size: int
     policy: MatchPolicy = MatchPolicy.RESET
     window: int | None = None
@@ -112,6 +115,8 @@ class MiningProblem:
         validate_window(self.policy, self.window)
         if isinstance(self.episodes, np.ndarray):
             object.__setattr__(self, "episodes", _coerce_matrix(self.episodes))
+        elif isinstance(self.episodes, CandidateTrie):
+            _coerce_matrix(self.episodes.matrix)
         else:
             if not self.episodes:
                 raise ValidationError("problem needs at least one episode")
@@ -122,7 +127,15 @@ class MiningProblem:
     def matrix(self) -> np.ndarray:
         if isinstance(self.episodes, np.ndarray):
             return self.episodes
+        if isinstance(self.episodes, CandidateTrie):
+            return _coerce_matrix(self.episodes.matrix)
         return episodes_to_matrix(list(self.episodes))
+
+    @cached_property
+    def trie(self) -> CandidateTrie:
+        """The batch as a trie, built at most once per problem — the
+        form the host counting path takes."""
+        return as_trie(self.episodes)
 
     @property
     def n(self) -> int:

@@ -45,7 +45,7 @@ class ThreadBufKernel(MiningKernel):
         # split matches because each thread scans the *whole* buffer
         # stream in order (state persists across chunks).
         memory.global_mem.counters.reads += p.n  # one staging pass
-        return count_batch(db, p.matrix, p.alphabet_size, p.policy, p.window)
+        return count_batch(db, p.trie, p.alphabet_size, p.policy, p.window)
 
     def build_trace(self, device: DeviceSpecs, config: LaunchConfig) -> KernelTrace:
         card = self._card(device)

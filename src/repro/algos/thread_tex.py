@@ -39,7 +39,7 @@ class ThreadTexKernel(MiningKernel):
             config.total_threads, p.n_episodes
         )
         # map: per-episode counts; reduce: identity
-        return count_batch(db, p.matrix, p.alphabet_size, p.policy, p.window)
+        return count_batch(db, p.trie, p.alphabet_size, p.policy, p.window)
 
     def build_trace(self, device: DeviceSpecs, config: LaunchConfig) -> KernelTrace:
         card = self._card(device)

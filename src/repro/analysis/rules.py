@@ -20,7 +20,7 @@ REP006    replayability: no wallclock reads in mining/streaming
 
 Rules favor precision over recall: they match the concrete idioms this
 codebase uses (``get_engine``/``REGISTRY.get``, ``atomic_open``
-with-targets, ``MapReduceJob(mapper=...)``) rather than attempting
+with-targets, ``pool.submit(fn, ...)``) rather than attempting
 whole-program analysis.  A violation the rule cannot see is still a
 violation — the rules raise the floor, the tests remain the ceiling.
 """
@@ -420,7 +420,7 @@ _POOLISH = ("pool", "executor")
 
 class _Rep005Visitor(_RuleVisitor):
     """Flags lambdas and local (nested) functions handed to process
-    pools or :class:`repro.mapreduce.MapReduceJob` slots."""
+    pools."""
 
     def __init__(self, rule: Rule, ctx: FileContext) -> None:
         super().__init__(rule, ctx)
@@ -451,28 +451,17 @@ class _Rep005Visitor(_RuleVisitor):
             return f"local function {node.id!r}"
         return None
 
-    def _check_args(
-        self, node: ast.Call, where: str, positions: "tuple[int, ...]",
-        keywords: "tuple[str, ...]" = (),
-    ) -> None:
-        for idx in positions:
-            if idx < len(node.args):
-                kind = self._offender(node.args[idx])
-                if kind is not None:
-                    self.report(
-                        node.args[idx],
-                        f"{kind} passed to {where}; it cannot be pickled "
-                        "into a worker process",
-                    )
-        for kw in node.keywords:
-            if kw.arg in keywords:
-                kind = self._offender(kw.value)
-                if kind is not None:
-                    self.report(
-                        kw.value,
-                        f"{kind} passed as {where} {kw.arg}=; it cannot "
-                        "be pickled into a worker process",
-                    )
+    def _check_callable(self, node: ast.Call, where: str) -> None:
+        """The callable is the first positional argument of every
+        pool entry point this rule patrols."""
+        if node.args:
+            kind = self._offender(node.args[0])
+            if kind is not None:
+                self.report(
+                    node.args[0],
+                    f"{kind} passed to {where}; it cannot be pickled "
+                    "into a worker process",
+                )
 
     def _is_thread_pool(self, receiver: str) -> bool:
         """Receiver is a with-target of a Thread* pool constructor —
@@ -490,16 +479,10 @@ class _Rep005Visitor(_RuleVisitor):
                 self.generic_visit(node)
                 return
             if func.attr == "submit":
-                self._check_args(node, f"{receiver or '<pool>'}.submit", (0,))
+                self._check_callable(node, f"{receiver or '<pool>'}.submit")
             elif func.attr in ("map", "starmap", "imap", "imap_unordered",
                               "apply", "apply_async", "map_async") and poolish:
-                self._check_args(node, f"{receiver}.{func.attr}", (0,))
-        else:
-            name = dotted_name(func) or ""
-            if name.split(".")[-1] == "MapReduceJob":
-                self._check_args(
-                    node, "MapReduceJob", (1, 2), ("mapper", "reducer")
-                )
+                self._check_callable(node, f"{receiver}.{func.attr}")
         self.generic_visit(node)
 
 
@@ -514,8 +497,8 @@ class UnpicklablePoolSubmissionRule(Rule):
     title = "lambda/local function submitted to a process pool"
     severity = "error"
     fix_hint = (
-        "hoist the callable to module level and pass parameters through "
-        "the payload (see engines._sharded_mapper for the idiom)"
+        "hoist the callable to module level and pass parameters as "
+        "picklable arguments (see engines._run_shard for the idiom)"
     )
 
     def visit(self, ctx: FileContext) -> "Iterator[Finding]":

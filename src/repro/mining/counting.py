@@ -15,12 +15,17 @@ registry that names and selects them):
   per-episode setup would dominate.
 * ``position-hop`` — vectorized position-list counting: per-symbol
   occurrence arrays are extracted once per database (cached on a
-  :class:`DatabaseIndex`), each episode's match structure is derived by
-  ``np.searchsorted`` hops between its symbols' position lists, and the
-  greedy non-overlapped count is resolved in O(log m) vectorized
-  pointer-jumping rounds instead of a per-occurrence loop.  Interpreter
-  work is O(E·(L + log m)) — *independent of n* — which is what kills
-  the per-character sweeps on realistic databases.
+  :class:`DatabaseIndex`), and match structure is derived by
+  ``np.searchsorted`` hops between position lists — one hop per edge
+  of the candidate trie, with every leaf's greedy non-overlapped count
+  resolved in one vectorized chase, handed to binary lifting when a
+  few long chains would keep it going
+  (:func:`repro.mining.trie.count_positions_trie`).  Interpreter work
+  is independent of n, which is what kills the per-character sweeps on
+  realistic databases.  :func:`count_episode` hops one episode as a
+  single chain (:func:`_chain_positions`) and resolves its count in
+  O(log m) binary-lifting rounds (:func:`_walk_jump_chain`), without a
+  trie's per-batch set-up.
 * ``RESET`` has its own closed form: a single O(n) pass counts *every*
   length-L episode at once via base-N n-gram encoding and ``bincount``
   (:func:`ngram_counts`; RESET counting equals substring counting, see
@@ -39,13 +44,17 @@ sharded engine) pay the position-extraction cost once.
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.mining.episode import Episode, episodes_to_matrix
+from repro.mining.episode import Episode
 from repro.mining.fsm import EpisodeFSM
 from repro.mining.policies import MatchPolicy, validate_window
+
+if TYPE_CHECKING:  # runtime import would cycle: trie imports this module
+    from repro.mining.trie import CandidateTrie
 
 #: n-gram encoding uses int64; N**L must stay below 2**62.
 _MAX_ENCODED = 2**62
@@ -168,31 +177,9 @@ def encode_episodes(matrix: np.ndarray, alphabet_size: int) -> np.ndarray:
     return enc
 
 
-def as_episode_matrix(episodes: "list[Episode] | np.ndarray") -> np.ndarray:
-    """Normalize an episode batch (Episode list, (E, L) array, or
-    :class:`~repro.mining.trie.CandidateTrie`) to a matrix.
-
-    Trie batches are recognized structurally (their cached ``matrix``
-    property) rather than by type, so this module never imports
-    :mod:`repro.mining.trie` (which imports this one).
-    """
-    if isinstance(episodes, np.ndarray):
-        matrix = episodes
-    else:
-        trie_matrix = getattr(episodes, "matrix", None)
-        matrix = (
-            trie_matrix
-            if isinstance(trie_matrix, np.ndarray)
-            else episodes_to_matrix(list(episodes))
-        )
-    if matrix.ndim != 2:
-        raise ValidationError(f"episode matrix must be 2-D, got {matrix.shape}")
-    return matrix
-
-
 def count_batch(
     db: np.ndarray,
-    episodes: "list[Episode] | np.ndarray",
+    episodes: "CandidateTrie | list[Episode] | np.ndarray",
     alphabet_size: int,
     policy: MatchPolicy = MatchPolicy.RESET,
     window: int | None = None,
@@ -207,15 +194,15 @@ def count_batch(
     fastest exact implementation for the policy and problem shape).
     ``index`` optionally carries a prebuilt :class:`DatabaseIndex` so
     repeated batches against one database share position lists.
-    :class:`~repro.mining.trie.CandidateTrie` batches keep their shared
-    structure (the engine's ``count_batch`` path); flat inputs are
-    normalized to a matrix.
+    Episode lists and ``(E, L)`` matrices become a
+    :class:`~repro.mining.trie.CandidateTrie` here, in input order;
+    tries pass through with their shared structure.
     """
-    from repro.mining.engines import get_engine  # lazy: avoids import cycle
+    # lazy: both modules import this one
+    from repro.mining.engines import get_engine
+    from repro.mining.trie import as_trie
 
-    batch: object = episodes
-    if isinstance(episodes, np.ndarray) or not hasattr(episodes, "matrix"):
-        batch = as_episode_matrix(episodes)
+    batch = as_trie(episodes)
     db = _check_db(db)
     validate_window(policy, window)
     resolved = get_engine(engine or "auto")
@@ -259,13 +246,12 @@ def count_episode(
             f"episode {episode} exceeds alphabet of size {alphabet_size}"
         )
     if policy is MatchPolicy.RESET:
-        # episode.items, not episode.array: the uint8 matrix form would
-        # truncate item codes on alphabets wider than 256
+        # episode.items, not episode.array: the uint8 matrix form cannot
+        # hold item codes on alphabets wider than 256
         return _count_single_reset(db, np.asarray(episode.items, dtype=np.int64))
-    if policy is MatchPolicy.SUBSEQUENCE:
-        return _count_subsequence_hopping(db, episode, index=index)
     index = index if index is not None else DatabaseIndex(db)
-    return _count_positions_single(index, episode.items, int(window))  # type: ignore[arg-type]
+    hop_window = None if policy is MatchPolicy.SUBSEQUENCE else int(window)  # type: ignore[arg-type]
+    return _count_positions_single(index, episode.items, hop_window)
 
 
 def _count_single_reset(db: np.ndarray, items: np.ndarray) -> int:
@@ -408,7 +394,7 @@ def _hop_positions(
     One searchsorted hop: for every occurrence of ``item``, find the
     latest prefix completion strictly before it (gap bounded by
     ``window`` when set) and extend that chain.  This is the single-edge
-    step both the flat chain (:func:`_chain_positions`) and the
+    step both the single-episode chain (:func:`_chain_positions`) and the
     trie-shared walk (:func:`repro.mining.trie.count_positions_trie`)
     are built from — the frontier depends only on the prefix consumed
     so far, never on any suffix, which is what makes sharing a parent
@@ -503,24 +489,6 @@ def _count_positions_single(
         return int(index.positions(items[0]).size)
     ends, starts = _chain_positions(index, items, window)
     return _greedy_nonoverlap_count(ends, starts)
-
-
-def count_positions_batch(
-    db: np.ndarray,
-    matrix: np.ndarray,
-    window: int | None = None,
-    index: DatabaseIndex | None = None,
-) -> np.ndarray:
-    """Position-list counts for a batch: SUBSEQUENCE (``window=None``)
-    or EXPIRING (``window`` set).  Interpreter work per episode is
-    O(L + log m) vectorized operations, independent of database length.
-    """
-    index = index if index is not None else DatabaseIndex(db)
-    out = np.zeros(matrix.shape[0], dtype=np.int64)
-    for i in range(matrix.shape[0]):
-        items = tuple(int(x) for x in matrix[i])
-        out[i] = _count_positions_single(index, items, window)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -637,19 +605,6 @@ def _expiring_exit_row(
     return count, row
 
 
-def _count_subsequence_hopping(
-    db: np.ndarray, episode: Episode, index: DatabaseIndex | None = None
-) -> int:
-    """Greedy subsequence count via per-symbol sorted position lists.
-
-    Accepts a prebuilt :class:`DatabaseIndex` so batch callers share
-    one position extraction across episodes instead of rebuilding
-    ``np.flatnonzero(db == item)`` per call.
-    """
-    index = index if index is not None else DatabaseIndex(db)
-    return _count_positions_single(index, episode.items, None)
-
-
 # ---------------------------------------------------------------------------
 # Scalar oracles
 # ---------------------------------------------------------------------------
@@ -690,7 +645,9 @@ def count_matrix_reference(
     """
     db = np.asarray(_check_db(db), dtype=np.int64)
     validate_window(policy, window)
-    matrix = as_episode_matrix(matrix)
+    matrix = np.asarray(matrix)
+    if matrix.ndim != 2:
+        raise ValidationError(f"episode matrix must be 2-D, got {matrix.shape}")
     out = np.zeros(matrix.shape[0], dtype=np.int64)
     for i in range(matrix.shape[0]):
         items = [int(x) for x in matrix[i]]

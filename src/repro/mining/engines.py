@@ -21,17 +21,60 @@ it in an :class:`EngineRegistry`, and layers composition on top:
   problem shape.  Functionally exact like every other tier; uniquely,
   it also records a per-launch :class:`~repro.gpu.report.TimingReport`
   so drivers can report the simulated kernel time the paper measures.
-* ``sharded`` — a wrapper that decomposes one counting call across
-  ``multiprocessing`` workers through the MapReduce framework.  RESET
-  batches split along the *database* axis using the segment/boundary
+* ``sharded`` — a wrapper that decomposes one counting call into small
+  typed shard tasks run on a supervised process pool.  RESET batches
+  split along the *database* axis using the segment/boundary
   decomposition of :mod:`repro.mining.spanning` (Fig. 5's span fix).
-  SUBSEQUENCE/EXPIRING batches split along the *episode* axis when the
-  batch is wide enough, and otherwise along the *database* axis via the
-  two-pass state-summarization carry of :mod:`repro.mining.spanning`
-  (Patnaik et al.'s accelerator-oriented transformation): workers
-  compute per-segment state summaries in parallel (pass 1), and a cheap
-  sequential compose threads the true entry states through them — exact
-  for occurrences straddling any number of segments.
+  SUBSEQUENCE/EXPIRING batches split along the *episode* axis by whole
+  trie subtrees when the batch is wide enough, and otherwise along the
+  *database* axis via the two-pass state-summarization carry of
+  :mod:`repro.mining.spanning` (Patnaik et al.'s accelerator-oriented
+  transformation): workers compute per-segment state summaries in
+  parallel (pass 1), and a cheap sequential compose threads the true
+  entry states through them — exact for occurrences straddling any
+  number of segments.
+
+Counting
+--------
+Every engine has exactly one counting method,
+``count_batch(db, batch, alphabet_size, policy, window, index=None)``,
+over a :class:`~repro.mining.trie.CandidateTrie` — the shared-prefix
+batch representation :func:`~repro.mining.candidates.generate_next_level`
+emits.  Flat inputs (episode lists, ``(E, L)`` matrices) become a trie
+once, at the public edges: :func:`repro.mining.counting.count_batch`,
+:func:`~repro.mining.trie.cached_count_batch` and
+:meth:`CountingEngine.resume_batch`.  The contract (details in
+``CONTRACTS.md``):
+
+* **index stability** — output slot ``i`` is the ``i``-th episode
+  inserted into the trie, so result/bench schemas are unchanged;
+* **scalar-oracle ground truth** — every engine returns exactly the
+  per-episode :func:`~repro.mining.counting.count_matrix_reference`
+  counts; engines differ only in speed (``tests/test_engines.py`` and
+  the cross-engine conformance matrix of ``tests/test_conformance.py``
+  assert this over all policies, repeated-symbol matrices, and
+  degenerate tries);
+* **where sharing happens** — ``position-hop`` hops each trie edge
+  once, reusing the parent node's position-list frontier for all
+  children (exact because the frontier depends only on the consumed
+  prefix — see :func:`repro.mining.trie.count_positions_trie`);
+  ``sharded`` ships whole root subtrees per shard (prefix sharing
+  survives inside every shard; explicit index arrays scatter results
+  back exactly); ``vector-sweep`` flattens — its per-character sweep
+  already advances all episodes through one vectorized state table,
+  and the greedy non-overlap reset makes cross-episode FSM state
+  diverge after any completion, so there is no exact per-prefix state
+  to share; RESET always flattens to the single O(n) n-gram pass,
+  which is batch-optimal already;
+* **count caching** — ``bind(...)`` adapts an engine to the miner's
+  ``(db, episodes) -> counts`` callable, reusing one
+  :class:`DatabaseIndex` per database (staleness-checked by
+  fingerprint, so in-place mutation of a database array rebuilds
+  instead of silently serving stale counts) and routing every batch
+  through a content-addressed :class:`~repro.mining.trie.CountCache`
+  keyed by ``(db_fingerprint, episode, policy, window)``, so repeated
+  counts (across levels, pipeline speculation, streaming backfill)
+  dedupe to zero engine calls on a full hit.
 
 Engine lifecycle
 ----------------
@@ -42,56 +85,11 @@ the first sharding call of the scope and releases it on exit, so all
 counting calls of a run — every level of the miner — share one pool
 instead of spawning workers per call, and pooled workers keep a
 :class:`DatabaseIndex` cache keyed by a database content fingerprint,
-so episode-axis chunks stop re-deriving position lists every call.
+so subtree shards stop re-deriving position lists every call.
 :class:`~repro.mining.miner.FrequentEpisodeMiner`,
 :class:`~repro.mining.pipeline.PipelinedMiner`, and the CLI all enter
-the engine scope around the level loop.  Counting
-*outside* a scope stays correct and keeps the historical
-pool-per-call behaviour.
-
-Every engine implements ``count(db, episodes, alphabet_size, policy,
-window, index=None)`` and returns the exact occurrence counts — the
-engines differ only in speed, an invariant ``tests/test_engines.py``
-and the cross-engine conformance matrix of ``tests/test_conformance.py``
-assert against the scalar oracle.  ``bind(...)``
-adapts an engine to the miner's ``(db, episodes) -> counts`` callable
-protocol while reusing one :class:`DatabaseIndex` per database
-(staleness-checked by fingerprint, so in-place mutation of a database
-array rebuilds instead of silently serving stale counts).
-
-Trie-batched counting
----------------------
-``count_batch(db, batch, alphabet_size, policy, window, index=None)``
-counts a :class:`~repro.mining.trie.CandidateTrie` — the shared-prefix
-batch representation :func:`~repro.mining.candidates.generate_next_level`
-emits — with the same exactness contract as ``count``; flat inputs
-(matrices, episode lists) are accepted and flattened.  The contract
-(details in ``CONTRACTS.md``):
-
-* **index stability** — output slot ``i`` is the ``i``-th episode
-  inserted into the trie, so result/bench schemas are unchanged;
-* **scalar-oracle ground truth** — every engine's ``count_batch``
-  equals per-episode :func:`~repro.mining.counting.count_matrix_reference`
-  counts (the conformance suite asserts this over all policies,
-  repeated-symbol matrices, and degenerate tries);
-* **where sharing happens** — ``position-hop`` hops each trie edge
-  once, reusing the parent node's position-list frontier for all
-  children (exact because the frontier depends only on the consumed
-  prefix — see :func:`repro.mining.trie.count_positions_trie`);
-  ``sharded`` ships whole root subtrees per shard (prefix sharing
-  survives inside every shard; explicit index arrays scatter results
-  back exactly) under the same supervision/degradation semantics as
-  ``count``; ``vector-sweep`` flattens — its per-character sweep
-  already advances all episodes through one vectorized state table,
-  and the greedy non-overlap reset makes cross-episode FSM state
-  diverge after any completion, so there is no exact per-prefix state
-  to share; RESET always flattens to the single O(n) n-gram pass,
-  which is batch-optimal already;
-* **count caching** — :class:`BoundEngine` routes trie batches through
-  a content-addressed :class:`~repro.mining.trie.CountCache` keyed by
-  ``(db_fingerprint, episode, policy, window)``, so repeated counts
-  (across levels, pipeline speculation, streaming backfill) dedupe to
-  zero engine calls on a full hit.
+the engine scope around the level loop.  Counting *outside* a scope
+stays correct and spawns a pool per sharding call.
 
 Failure semantics
 -----------------
@@ -108,10 +106,9 @@ failure is explicit rather than a silent whole-call recompute:
 * **repeated failure** (respawn budget exhausted, or the pool cannot
   spawn at all): the run degrades down the explicit chain *sharded ->
   single-process inner engine* for the rest of the scope;
-* **shard exceptions are never retried**: a mapper raising is a
+* **shard exceptions are never retried**: a shard task raising is a
   programming error, not an infrastructure failure, and propagates as
-  itself (the PR-3 contract, now directly testable through fault
-  injection).
+  itself (directly testable through fault injection).
 
 Every decision lands as a structured
 :class:`~repro.resilience.supervisor.DegradationEvent` on
@@ -137,22 +134,23 @@ counting runs, never the counts.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
-from typing import TYPE_CHECKING, Callable, Iterable
+from concurrent.futures import Future, ProcessPoolExecutor
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterable, Union
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep import cycles cut
-    from concurrent.futures import Future
     from types import TracebackType
 
     from repro.algos.selector import AdaptiveSelector
-    from repro.mapreduce.cpu_engine import ProcessPoolEngine
+    from repro.gpu.report import TimingReport
+    from repro.resilience.faults import ShardFault
 
 import numpy as np
 
 from repro.errors import ConfigError, ValidationError
-from repro.mapreduce.combiner import group_by_key
-from repro.mapreduce.types import KeyValue, MapReduceJob
 from repro.obs import clock as _clock
 from repro.obs.recorder import NULL_RECORDER, NullRecorder, Recorder
 from repro.resilience import faults as _faults
@@ -163,9 +161,7 @@ from repro.resilience.supervisor import (
 )
 from repro.mining.counting import (
     DatabaseIndex,
-    as_episode_matrix,
     count_matrix_reference,
-    count_positions_batch,
     count_reset_batch,
     db_fingerprint,
     _count_expiring_batch,
@@ -176,6 +172,7 @@ from repro.mining.policies import MatchPolicy, validate_window
 from repro.mining.trie import (
     CandidateTrie,
     CountCache,
+    as_trie,
     cached_count_batch,
     count_positions_trie,
     resume_positions_trie,
@@ -204,6 +201,7 @@ __all__ = [
     "register_engine",
     "get_engine",
     "list_engines",
+    "spawn_probed_pool",
 ]
 
 
@@ -231,44 +229,24 @@ class CountingEngine:
         """
         self.recorder = recorder
 
-    def count(
-        self,
-        db: np.ndarray,
-        episodes: "list[Episode] | np.ndarray",
-        alphabet_size: int,
-        policy: MatchPolicy = MatchPolicy.RESET,
-        window: int | None = None,
-        index: DatabaseIndex | None = None,
-    ) -> np.ndarray:
-        raise NotImplementedError
-
     def count_batch(
         self,
         db: np.ndarray,
-        episodes: "CandidateTrie | list[Episode] | np.ndarray",
+        batch: CandidateTrie,
         alphabet_size: int,
         policy: MatchPolicy = MatchPolicy.RESET,
         window: int | None = None,
         index: DatabaseIndex | None = None,
     ) -> np.ndarray:
-        """Counts for a (possibly trie-structured) episode batch.
+        """Exact occurrence counts for every episode of ``batch``.
 
-        The base implementation flattens the batch and delegates to
-        ``count`` — exact for every engine, so tiers without a shared
-        counting structure (scalar-oracle as the per-episode ground
-        truth, vector-sweep whose per-character state table already
-        advances all episodes at once, gpu-sim's single kernel launch)
-        inherit it as-is.  Tiers that can exploit the trie
-        (``position-hop``, ``sharded``) override.  Same run-scope
-        contract as ``count`` (REP003).
+        Slot ``i`` of the result is the ``i``-th episode inserted into
+        the trie.  ``index`` optionally carries a prebuilt
+        :class:`DatabaseIndex` of ``db`` so repeated batches share
+        position lists.  Every tier overrides this; it is run-scoped
+        (REP003) — call it inside ``with engine:``.
         """
-        matrix = as_episode_matrix(episodes)
-        if matrix.shape[0] == 0:
-            # empty levels short-circuit: the flat paths reject
-            # zero-width (0, 0) matrices an empty trie produces
-            return np.zeros(0, dtype=np.int64)
-        return self.count(db, matrix, alphabet_size, policy, window,
-                          index=index)
+        raise NotImplementedError
 
     def resume_batch(
         self,
@@ -296,13 +274,8 @@ class CountingEngine:
         dispatch stays an engine concern like ``count_batch``.  Not
         run-scoped: the resume path holds no pooled resources.
         """
-        trie = (
-            episodes
-            if isinstance(episodes, CandidateTrie)
-            else CandidateTrie.from_matrix(as_episode_matrix(episodes))
-        )
         return resume_positions_trie(
-            db, trie, policy, window, state, t0=t0, index=index
+            db, as_trie(episodes), policy, window, state, t0=t0, index=index
         )
 
     def bind(
@@ -311,7 +284,7 @@ class CountingEngine:
         policy: MatchPolicy = MatchPolicy.RESET,
         window: int | None = None,
     ) -> "BoundEngine":
-        """Adapt to the miner's ``(db, episodes) -> counts`` protocol."""
+        """Adapt to the miner's ``(db, episodes) -> counts`` callable."""
         return BoundEngine(self, alphabet_size, policy, window)
 
     def __enter__(self) -> "CountingEngine":
@@ -333,17 +306,17 @@ class CountingEngine:
 class BoundEngine:
     """A counting engine bound to (alphabet, policy, window).
 
-    Satisfies :class:`repro.mining.miner.CountingEngine` and caches a
-    :class:`DatabaseIndex` per database, so every level of a mining run
-    shares one position extraction.  The cache is keyed by a content
-    fingerprint rather than object identity: mutating the database
-    array in place between calls rebuilds the index instead of silently
-    returning counts from the stale one (the hash is memory-bandwidth
-    cheap next to any counting pass).  Entering a bound engine opens
-    the underlying engine's run scope.
+    The miner's counting callable: caches a :class:`DatabaseIndex` per
+    database, so every level of a mining run shares one position
+    extraction.  The cache is keyed by a content fingerprint rather
+    than object identity: mutating the database array in place between
+    calls rebuilds the index instead of silently returning counts from
+    the stale one (the hash is memory-bandwidth cheap next to any
+    counting pass).  Entering a bound engine opens the underlying
+    engine's run scope.
 
-    Trie batches additionally route through a per-binding
-    content-addressed :class:`~repro.mining.trie.CountCache` (keyed by
+    Every batch routes through a per-binding content-addressed
+    :class:`~repro.mining.trie.CountCache` (keyed by
     ``(db_fingerprint, episode, policy, window)``): episodes re-counted
     against an identical database — repeated level counts, pipeline
     speculation overlap, streaming promotion backfill — are served from
@@ -365,7 +338,7 @@ class BoundEngine:
         self.alphabet_size = alphabet_size
         self.policy = policy
         self.window = window
-        #: content-addressed count cache for trie/batched counting
+        #: content-addressed count cache for every batch counted here
         self.cache = cache if cache is not None else CountCache()
         self._fingerprint: str | None = None
         self._db: np.ndarray | None = None
@@ -415,16 +388,7 @@ class BoundEngine:
     def __call__(
         self, db: np.ndarray, episodes: "CandidateTrie | list[Episode] | np.ndarray"
     ) -> np.ndarray:
-        if isinstance(episodes, CandidateTrie):
-            return self.count_batch(db, episodes)
-        return self.engine.count(
-            db,
-            episodes,
-            self.alphabet_size,
-            self.policy,
-            self.window,
-            index=self.index_for(db),
-        )
+        return self.count_batch(db, episodes)
 
     def count_batch(
         self, db: np.ndarray, episodes: "CandidateTrie | list[Episode] | np.ndarray"
@@ -465,40 +429,46 @@ class ScalarOracleEngine(CountingEngine):
 
     name = "scalar-oracle"
 
-    def count(
+    def count_batch(
         self,
         db: np.ndarray,
-        episodes: "list[Episode] | np.ndarray",
+        batch: CandidateTrie,
         alphabet_size: int,
         policy: MatchPolicy = MatchPolicy.RESET,
         window: "int | None" = None,
         index: "DatabaseIndex | None" = None,
     ) -> np.ndarray:
-        matrix = as_episode_matrix(episodes)
-        return count_matrix_reference(db, matrix, policy, window)
+        return count_matrix_reference(db, batch.matrix, policy, window)
 
 
 class VectorSweepEngine(CountingEngine):
-    """Per-character NumPy FSM sweeps (the seed implementation)."""
+    """Per-character NumPy FSM sweeps (the seed implementation).
+
+    Counts the trie's flat matrix: the sweep already advances every
+    episode through one vectorized state table per character, so there
+    is no per-prefix work to share.
+    """
 
     name = "vector-sweep"
 
-    def count(
+    def count_batch(
         self,
         db: np.ndarray,
-        episodes: "list[Episode] | np.ndarray",
+        batch: CandidateTrie,
         alphabet_size: int,
         policy: MatchPolicy = MatchPolicy.RESET,
         window: "int | None" = None,
         index: "DatabaseIndex | None" = None,
     ) -> np.ndarray:
-        matrix = as_episode_matrix(episodes)
         validate_window(policy, window)
+        if len(batch) == 0:
+            return np.zeros(0, dtype=np.int64)
+        matrix = batch.matrix
         if policy is MatchPolicy.RESET:
             return count_reset_batch(db, matrix, alphabet_size)
         if policy is MatchPolicy.SUBSEQUENCE:
             return _count_subsequence_batch(db, matrix)
-        return _count_expiring_batch(db, matrix, int(window))
+        return _count_expiring_batch(db, matrix, int(window))  # type: ignore[arg-type]
 
 
 class PositionHopEngine(CountingEngine):
@@ -506,26 +476,10 @@ class PositionHopEngine(CountingEngine):
 
     name = "position-hop"
 
-    def count(
-        self,
-        db: np.ndarray,
-        episodes: "list[Episode] | np.ndarray",
-        alphabet_size: int,
-        policy: MatchPolicy = MatchPolicy.RESET,
-        window: "int | None" = None,
-        index: "DatabaseIndex | None" = None,
-    ) -> np.ndarray:
-        matrix = as_episode_matrix(episodes)
-        validate_window(policy, window)
-        if policy is MatchPolicy.RESET:
-            return count_reset_batch(db, matrix, alphabet_size)
-        hop_window = None if policy is MatchPolicy.SUBSEQUENCE else int(window)
-        return count_positions_batch(db, matrix, hop_window, index=index)
-
     def count_batch(
         self,
         db: np.ndarray,
-        episodes: "CandidateTrie | list[Episode] | np.ndarray",
+        batch: CandidateTrie,
         alphabet_size: int,
         policy: MatchPolicy = MatchPolicy.RESET,
         window: int | None = None,
@@ -533,23 +487,19 @@ class PositionHopEngine(CountingEngine):
     ) -> np.ndarray:
         """Trie-shared position-list counting.
 
-        SUBSEQUENCE/EXPIRING trie batches hop each trie *edge* once,
-        reusing the parent node's completion frontier for all children
+        SUBSEQUENCE/EXPIRING hop each trie *edge* once, reusing the
+        parent node's completion frontier for all children
         (:func:`repro.mining.trie.count_positions_trie`) — O(trie
-        edges) hops instead of the flat path's O(E·L).  RESET keeps
-        the single O(n) n-gram pass (already batch-optimal), and flat
-        inputs fall through to ``count``.
+        edges) hops instead of O(E·L).  RESET keeps the single O(n)
+        n-gram pass (already batch-optimal).
         """
-        if not isinstance(episodes, CandidateTrie):
-            return super().count_batch(db, episodes, alphabet_size, policy,
-                                       window, index=index)
         validate_window(policy, window)
-        if len(episodes) == 0:
+        if len(batch) == 0:
             return np.zeros(0, dtype=np.int64)
         if policy is MatchPolicy.RESET:
-            return count_reset_batch(db, episodes.matrix, alphabet_size)
-        hop_window = None if policy is MatchPolicy.SUBSEQUENCE else int(window)
-        return count_positions_trie(db, episodes, hop_window, index=index)
+            return count_reset_batch(db, batch.matrix, alphabet_size)
+        hop_window = None if policy is MatchPolicy.SUBSEQUENCE else int(window)  # type: ignore[arg-type]
+        return count_positions_trie(db, batch, hop_window, index=index)
 
 
 class AutoEngine(CountingEngine):
@@ -574,7 +524,7 @@ class AutoEngine(CountingEngine):
     def select(
         self, n: int, n_episodes: int, policy: MatchPolicy
     ) -> CountingEngine:
-        """The concrete engine ``count`` will delegate to."""
+        """The concrete engine ``count_batch`` will delegate to."""
         if policy is MatchPolicy.RESET:
             return get_engine("position-hop")  # n-gram path either way
         if (n < self.SWEEP_MAX_N
@@ -582,47 +532,31 @@ class AutoEngine(CountingEngine):
             return get_engine("vector-sweep")
         return get_engine("position-hop")
 
-    def count(
-        self,
-        db: np.ndarray,
-        episodes: "list[Episode] | np.ndarray",
-        alphabet_size: int,
-        policy: MatchPolicy = MatchPolicy.RESET,
-        window: "int | None" = None,
-        index: "DatabaseIndex | None" = None,
-    ) -> np.ndarray:
-        matrix = as_episode_matrix(episodes)
-        chosen = self.select(int(np.asarray(db).size), matrix.shape[0], policy)
-        return chosen.count(db, matrix, alphabet_size, policy, window, index=index)
-
     def count_batch(
         self,
         db: np.ndarray,
-        episodes: "CandidateTrie | list[Episode] | np.ndarray",
+        batch: CandidateTrie,
         alphabet_size: int,
         policy: MatchPolicy = MatchPolicy.RESET,
         window: int | None = None,
         index: DatabaseIndex | None = None,
     ) -> np.ndarray:
-        """Dispatch the batch to the selected tier's ``count_batch``
-        (so a trie reaching position-hop keeps its shared structure)."""
-        n_eps = (
-            len(episodes)
-            if isinstance(episodes, CandidateTrie)
-            else as_episode_matrix(episodes).shape[0]
-        )
-        chosen = self.select(int(np.asarray(db).size), n_eps, policy)
-        return chosen.count_batch(db, episodes, alphabet_size, policy,
+        """Delegate the trie to the selected tier (so a trie reaching
+        position-hop keeps its shared structure)."""
+        chosen = self.select(int(np.asarray(db).size), len(batch), policy)
+        return chosen.count_batch(db, batch, alphabet_size, policy,
                                   window, index=index)
 
 
 class GpuSimEngine(CountingEngine):
     """Counting on a simulated CUDA card — the paper's device-side path.
 
-    Each ``count`` call builds a :class:`~repro.algos.base.MiningProblem`
-    and launches one mining kernel on a :class:`~repro.gpu.simulator.
-    GpuSimulator`.  ``algorithm="auto"`` (the default) delegates the
-    (algorithm, thread-count) choice to the
+    Each ``count_batch`` call builds a
+    :class:`~repro.algos.base.MiningProblem` over the trie (kept as
+    given, so the kernels' host counting reuses it) and launches one
+    mining kernel on a
+    :class:`~repro.gpu.simulator.GpuSimulator`.  ``algorithm="auto"``
+    (the default) delegates the (algorithm, thread-count) choice to the
     :class:`~repro.algos.selector.AdaptiveSelector` — the paper's
     dynamic-adaptation conclusion — with the sweep memoized per problem
     shape, so a mining run pays one sweep per (level, episode/db-size
@@ -687,10 +621,10 @@ class GpuSimEngine(CountingEngine):
         """Accumulated simulated kernel time across counting calls."""
         return float(sum(r.total_ms for r in self.reports))
 
-    def count(
+    def count_batch(
         self,
         db: np.ndarray,
-        episodes: "list[Episode] | np.ndarray",
+        batch: CandidateTrie,
         alphabet_size: int,
         policy: MatchPolicy = MatchPolicy.RESET,
         window: "int | None" = None,
@@ -701,21 +635,18 @@ class GpuSimEngine(CountingEngine):
 
         validate_window(policy, window)
         db = coerce_database(db, alphabet_size)  # also bounds alphabet_size
-        # validate episode codes on the *raw* input: Episode.array /
-        # uint8 matrix coercion happens downstream, and an out-of-range
-        # code must raise here, never overflow or wrap modulo 256 first
-        if isinstance(episodes, np.ndarray):
-            top = int(episodes.max(initial=0)) if episodes.size else 0
-        else:
-            top = max((max(e.items) for e in episodes), default=0)
+        # the matrix form raises ValidationError for Episode codes that
+        # do not fit uint8; raw matrices keep their dtype, so the
+        # alphabet bound is checked here, before the kernels narrow it
+        matrix = batch.matrix
+        top = int(matrix.max(initial=0))
         if top >= alphabet_size:
             raise ValidationError(
                 f"episode code {top} >= alphabet size {alphabet_size}"
             )
-        matrix = as_episode_matrix(episodes)
         if matrix.shape[0] == 0:
             return np.zeros(0, dtype=np.int64)
-        problem = MiningProblem(db, matrix, alphabet_size, policy, window)
+        problem = MiningProblem(db, batch, alphabet_size, policy, window)
         choice = None
         if self._selector is not None:
             choice = self._selector.select_cached(problem)
@@ -745,22 +676,20 @@ class GpuSimEngine(CountingEngine):
 
 
 # ---------------------------------------------------------------------------
-# Sharded execution over the MapReduce framework
+# Sharded execution: typed shard tasks on a supervised process pool
 # ---------------------------------------------------------------------------
 
 #: per-process DatabaseIndex cache keyed by database content fingerprint.
 #: Lives in each pooled *worker*: with a run-scoped pool the workers
-#: persist across counting calls (and mining levels), so episode-axis
-#: chunks against one database pay the position extraction once per
-#: worker instead of once per chunk per call.  Content keying makes a
+#: persist across counting calls (and mining levels), so subtree shards
+#: against one database pay the position extraction once per worker
+#: instead of once per shard per call.  Content keying makes a
 #: mutated-in-place database a miss, never a stale hit.
 _WORKER_INDEX_CACHE: "dict[str, DatabaseIndex]" = {}
 _WORKER_INDEX_CACHE_MAX = 4
 
 
-def _cached_worker_index(db: np.ndarray, key: "str | None") -> DatabaseIndex:
-    if key is None:
-        return DatabaseIndex(db)
+def _cached_worker_index(db: np.ndarray, key: str) -> DatabaseIndex:
     index = _WORKER_INDEX_CACHE.get(key)
     if index is None:
         index = DatabaseIndex(db)
@@ -770,89 +699,142 @@ def _cached_worker_index(db: np.ndarray, key: "str | None") -> DatabaseIndex:
     return index
 
 
-def _sharded_mapper(record: KeyValue) -> "list[KeyValue]":
-    """Count one shard (module-level so process pools can pickle it)."""
-    payload = record.value
-    # deterministic fault injection (tests only): the parent stamps a
-    # consumed fault into the *submitted* payload copy — the clean
-    # record stays parent-side for exact in-process recounts.  "crash"
-    # simulates a worker death (no cleanup, no exception — the pool
-    # breaks); "hang" sleeps past any parent-side deadline and then
-    # computes normally (the late result must be ignored); "raise"
-    # exercises the mapper-exceptions-propagate contract.
-    fault = payload.get("fault") if isinstance(payload, dict) else None
-    if fault == "crash":
-        os._exit(86)
-    elif fault == "hang":
-        time.sleep(float(payload.get("fault_hang_s", 5.0)))
-    elif fault == "raise":
-        raise RuntimeError(f"injected mapper fault (shard {record.key!r})")
-    policy = MatchPolicy(payload["policy"])
-    kind = payload["kind"]
-    if kind == "boundary":
-        out = count_starts_in(
-            payload["db"],
-            payload["matrix"],
-            payload["alphabet_size"],
-            start_lo=payload["start_lo"],
-            start_hi=payload["start_hi"],
-        )
-    elif kind == "summary":
-        # pass 1 of the database-axis state carry: summarize this
-        # segment's FSM behaviour; the parent composes entry states
-        if policy is MatchPolicy.SUBSEQUENCE:
-            out = subsequence_segment_summary(payload["db"], payload["matrix"])
-        else:
-            out = expiring_segment_summary(
-                payload["db"],
-                payload["matrix"],
-                int(payload["window"]),
-                int(payload["t0"]),
-            )
-    else:
+@dataclass(frozen=True, eq=False)
+class _SubtreeShard:
+    """Episode axis: whole root subtrees, counted by the inner engine.
+
+    The rows are the wire format (tries are not shipped); the worker
+    rebuilds the sub-trie so the inner engine keeps prefix sharing.
+    """
+
+    db: np.ndarray
+    matrix: np.ndarray
+    alphabet_size: int
+    policy: MatchPolicy
+    window: "int | None"
+    engine: str
+    db_key: str
+
+    def run(self) -> np.ndarray:
         try:
-            engine = get_engine(payload["engine"])
+            engine = get_engine(self.engine)
         except ValidationError:
             # spawn-start platforms re-import the registry in the child,
             # losing parent-side register_engine() calls; every engine is
             # exact, so auto is a correct stand-in
             engine = get_engine("auto")
-        index = _cached_worker_index(payload["db"], payload.get("db_key"))
-        if payload.get("trie"):
-            # trie-subtree shard: rebuild the shared-prefix structure
-            # from the shipped rows (tries themselves are not shipped —
-            # the matrix is the wire format) so the inner engine's
-            # count_batch keeps the per-shard prefix sharing
-            batch = CandidateTrie.from_matrix(payload["matrix"])
-            # repro: noqa REP003 worker-side shard count; the parent ShardedEngine scope owns the run lifecycle
-            out = engine.count_batch(
-                payload["db"],
-                batch,
-                payload["alphabet_size"],
-                policy,
-                payload["window"],
-                index=index,
+        # repro: noqa REP003 worker-side shard count; the parent ShardedEngine scope owns the run lifecycle
+        return engine.count_batch(
+            self.db,
+            CandidateTrie.from_matrix(self.matrix),
+            self.alphabet_size,
+            self.policy,
+            self.window,
+            index=_cached_worker_index(self.db, self.db_key),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class _SegmentShard:
+    """RESET database axis: occurrences wholly inside one segment."""
+
+    db: np.ndarray
+    matrix: np.ndarray
+    alphabet_size: int
+
+    def run(self) -> np.ndarray:
+        return count_reset_batch(self.db, self.matrix, self.alphabet_size)
+
+
+@dataclass(frozen=True, eq=False)
+class _BoundaryShard:
+    """RESET span fix: occurrences starting in ``[0, start_hi)`` of a
+    window straddling one segment boundary."""
+
+    db: np.ndarray
+    matrix: np.ndarray
+    alphabet_size: int
+    start_hi: int
+
+    def run(self) -> np.ndarray:
+        return count_starts_in(
+            self.db, self.matrix, self.alphabet_size,
+            start_lo=0, start_hi=self.start_hi,
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class _SummaryShard:
+    """Pass 1 of the database-axis state carry: one segment's FSM
+    summary; the parent composes the entry states."""
+
+    db: np.ndarray
+    matrix: np.ndarray
+    policy: MatchPolicy
+    window: "int | None"
+    t0: int
+
+    def run(self) -> object:
+        if self.policy is MatchPolicy.SUBSEQUENCE:
+            return subsequence_segment_summary(self.db, self.matrix)
+        return expiring_segment_summary(
+            self.db, self.matrix, int(self.window), self.t0  # type: ignore[arg-type]
+        )
+
+
+_Shard = Union[_SubtreeShard, _SegmentShard, _BoundaryShard, _SummaryShard]
+
+
+def _run_shard(task: _Shard, fault: "ShardFault | None" = None) -> object:
+    """Run one shard task (module-level so process pools can pickle it).
+
+    ``fault`` is deterministic fault injection (tests only): the parent
+    draws it per *submission*, so the task itself stays clean for exact
+    in-process recounts.  ``"crash"`` simulates a worker death (no
+    cleanup, no exception — the pool breaks); ``"hang"`` sleeps past
+    any parent-side deadline and then computes normally (the late
+    result must be ignored); ``"raise"`` exercises the
+    shard-exceptions-propagate contract.
+    """
+    if fault is not None:
+        if fault.kind == "crash":
+            os._exit(86)
+        elif fault.kind == "hang":
+            time.sleep(fault.hang_s)
+        elif fault.kind == "raise":
+            raise RuntimeError(
+                f"injected mapper fault ({type(task).__name__})"
             )
-        else:
-            # repro: noqa REP003 worker-side shard count; the parent ShardedEngine scope owns the run lifecycle
-            out = engine.count(
-                payload["db"],
-                payload["matrix"],
-                payload["alphabet_size"],
-                policy,
-                payload["window"],
-                index=index,
-            )
-    return [KeyValue(record.key, out)]
+    return task.run()
 
 
-def _sum_reducer(key: object, values: "list[np.ndarray]") -> np.ndarray:
-    return np.sum(values, axis=0)
+def _probe_worker() -> int:
+    """No-op task forcing worker spawn (module-level: pools pickle it)."""
+    return 0
 
 
-def _first_reducer(key: object, values: list) -> object:
-    """Pass-through for jobs keyed one record per shard (summaries)."""
-    return values[0]
+def spawn_probed_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool whose workers are already running.
+
+    Prefers the ``fork`` start method (workers inherit NumPy state
+    cheaply), falling back to the platform default where ``fork`` is
+    unavailable.  A no-op probe task forces worker spawn eagerly:
+    platforms that cannot spawn processes fail right here (``OSError``
+    / ``BrokenProcessPool``) instead of poisoning the first real shard,
+    which is what lets :class:`ShardedEngine` tell "no pool available"
+    from a shard bug.
+    """
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        context = multiprocessing.get_context()
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
+    try:
+        pool.submit(_probe_worker).result()
+    except BaseException:
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    return pool
 
 
 class _ShardJobHost:
@@ -861,9 +843,9 @@ class _ShardJobHost:
     The supervisor owns the tracked-future mechanics; this host owns
     recovery *policy* on behalf of its :class:`ShardedEngine`:
 
-    * ``submit`` consults the active fault plan and stamps a drawn
-      fault into a *copy* of the shard payload — the clean record stays
-      parent-side, so ``inline`` recounts are exact by construction;
+    * ``submit`` draws the active fault plan's fault for this
+      submission and ships it beside the task — the task itself stays
+      clean, so ``inline`` recounts are exact by construction;
     * ``respawn`` is budgeted (per-job attempts against
       ``max_pool_respawns``, and for the run-scoped pool also against
       the scope's total spawn budget) and slept through the engine's
@@ -878,13 +860,11 @@ class _ShardJobHost:
     def __init__(
         self,
         engine: "ShardedEngine",
-        mapper: "Callable[[KeyValue], list]",
-        pool: "ProcessPoolEngine",
+        pool: ProcessPoolExecutor,
         owned: bool,
         turnaround: "list[float] | None" = None,
     ) -> None:
         self.engine = engine
-        self.mapper = mapper
         self.pool = pool
         self.owned = owned
         #: telemetry sink for per-shard submit->done latency (queue +
@@ -895,22 +875,10 @@ class _ShardJobHost:
         #: folds it into the recorder afterwards, on the owning thread.
         self.turnaround = turnaround
 
-    @staticmethod
-    def _stamped(record: KeyValue) -> KeyValue:
+    def submit(self, task: _Shard) -> "Future[object]":
         plan = _faults.active_plan()
-        if plan is None:
-            return record
-        fault = plan.take_shard_fault()
-        if fault is None or not isinstance(record.value, dict):
-            return record
-        payload = dict(record.value)
-        payload["fault"] = fault.kind
-        if fault.kind == "hang":
-            payload["fault_hang_s"] = fault.hang_s
-        return KeyValue(record.key, payload)
-
-    def submit(self, record: KeyValue) -> "Future":
-        fut = self.pool.submit(self.mapper, self._stamped(record))
+        fault = plan.take_shard_fault() if plan is not None else None
+        fut = self.pool.submit(_run_shard, task, fault)
         sink = self.turnaround
         if sink is not None:
             t0 = _clock.now()
@@ -919,14 +887,12 @@ class _ShardJobHost:
             )
         return fut
 
-    def inline(self, record: KeyValue) -> list:
-        return list(self.mapper(record))
+    def inline(self, task: _Shard) -> object:
+        return _run_shard(task)
 
     def respawn(self, attempt: int) -> bool:
         engine = self.engine
-        self.pool.abandon()
-        if not self.owned:
-            engine._pool = None
+        self.abandon()
         if attempt <= engine.max_pool_respawns and (
             self.owned or engine._scope_spawn_budget > 0
         ):
@@ -946,33 +912,41 @@ class _ShardJobHost:
         return False
 
     def abandon(self) -> None:
-        self.pool.abandon()
+        self.pool.shutdown(wait=False, cancel_futures=True)
         if not self.owned:
             self.engine._pool = None
 
 
 class ShardedEngine(CountingEngine):
-    """Split one counting call across workers via MapReduce.
+    """Split one counting call into shard tasks run on worker processes.
 
     RESET shards the *database* axis: per-segment counts plus the
     boundary span fix of :mod:`repro.mining.spanning` reassemble the
     exact whole-database answer.  SUBSEQUENCE/EXPIRING shard the
-    *episode* axis when the batch offers enough chunks, and the
-    *database* axis otherwise (few episodes, long database) via the
-    two-pass state carry: workers return per-segment FSM summaries
-    (pass 1), the parent composes entry states sequentially — exact for
-    occurrences straddling any number of segments (paper §3.3.3 made
-    parallel).  ``axis`` pins the choice (``"episode"`` /
-    ``"database"``) or leaves it to the heuristic (``"auto"``).
+    *episode* axis by whole trie subtrees when the batch offers enough
+    of them, and the *database* axis otherwise (few episodes, long
+    database) via the two-pass state carry: workers return per-segment
+    FSM summaries (pass 1), the parent composes entry states
+    sequentially — exact for occurrences straddling any number of
+    segments (paper §3.3.3 made parallel).  ``axis`` pins the choice
+    (``"episode"`` / ``"database"``) or leaves it to the heuristic
+    (``"auto"``).
 
-    ``with engine:`` scopes one mining run: the first ``count`` that
-    actually shards acquires the process pool (spawned *and probed*, so
-    unavailable platforms are detected right there and the rest of the
-    scope runs inline on the inner engine) and every later call of the
-    scope shares it; runs whose calls all stay below ``min_shard_work``
-    never spawn workers at all.  Outside a scope each sharding call
-    builds and tears down its own pool — correct, but paying the spawn
-    cost the ``sharded_scaling`` benchmark series quantifies.
+    Subtree shards receive whole root-child subtrees
+    (:meth:`~repro.mining.trie.CandidateTrie.subtree_index_groups`),
+    so prefix sharing survives inside every shard; results scatter back
+    through the explicit per-shard episode-index arrays, which is exact
+    regardless of how insertion order interleaved the subtrees.
+
+    ``with engine:`` scopes one mining run: the first ``count_batch``
+    that actually shards acquires the process pool (spawned *and
+    probed* by :func:`spawn_probed_pool`, so unavailable platforms are
+    detected right there and the rest of the scope runs inline on the
+    inner engine) and every later call of the scope shares it; runs
+    whose calls all stay below ``min_shard_work`` never spawn workers
+    at all.  Outside a scope each sharding call builds and tears down
+    its own pool — correct, but paying the spawn cost the
+    ``sharded_scaling`` benchmark series quantifies.
 
     Pooled shards run *supervised* (see the module's "Failure
     semantics"): every shard is a tracked future with an optional
@@ -983,7 +957,7 @@ class ShardedEngine(CountingEngine):
     budget for the scope is spent, the run degrades to the
     single-process inner engine, recording a structured
     :class:`~repro.resilience.supervisor.DegradationEvent` on
-    ``events`` (cleared when a new run scope opens).  Mapper exceptions
+    ``events`` (cleared when a new run scope opens).  Shard exceptions
     always propagate — they are never confused with infrastructure
     failure.
 
@@ -1070,7 +1044,7 @@ class ShardedEngine(CountingEngine):
         #: one per run scope plus respawns, or one per call outside a
         #: scope)
         self.pools_spawned = 0
-        self._pool: "ProcessPoolEngine | None" = None  # run-scoped pool
+        self._pool: "ProcessPoolExecutor | None" = None  # run-scoped pool
         self._pool_failed = False  # pool unavailable for this scope
         # total spawns a scope may consume: the initial pool plus the
         # respawn budget ("respawned once" at the default of 1)
@@ -1103,7 +1077,7 @@ class ShardedEngine(CountingEngine):
         self._depth -= 1
         if self._depth == 0:
             if self._pool is not None:
-                self._pool.__exit__(exc_type, exc, tb)
+                self._pool.shutdown()
                 self._pool = None
             self._pool_failed = False
         return False
@@ -1117,17 +1091,14 @@ class ShardedEngine(CountingEngine):
                              shards=tuple(sorted(shards)), attempt=attempt)
         )
 
-    def _make_pool(self) -> "ProcessPoolEngine | None":
-        """Spawn+probe a pool engine; None where pools cannot spawn."""
-        from repro.mapreduce.cpu_engine import ProcessPoolEngine
-
+    def _make_pool(self) -> "ProcessPoolExecutor | None":
+        """Spawn+probe a pool; None where pools cannot spawn."""
         plan = _faults.active_plan()
         if plan is not None and plan.take_pool_spawn_failure():
             self._record("pool-spawn-failed", "injected pool-spawn failure")
             return None
-        pool = ProcessPoolEngine(workers=self.workers)
         try:
-            pool.__enter__()
+            pool = spawn_probed_pool(self.workers)
         except (OSError, RuntimeError) as exc:
             # the probe raised: this platform cannot spawn worker
             # processes (sandbox); stay exact on the serial path
@@ -1139,107 +1110,63 @@ class ShardedEngine(CountingEngine):
         self.pools_spawned += 1
         return pool
 
-    def count(
-        self,
-        db: np.ndarray,
-        episodes: "list[Episode] | np.ndarray",
-        alphabet_size: int,
-        policy: MatchPolicy = MatchPolicy.RESET,
-        window: "int | None" = None,
-        index: "DatabaseIndex | None" = None,
-    ) -> np.ndarray:
-        matrix = as_episode_matrix(episodes)
-        validate_window(policy, window)
-        db = np.asarray(db)
-        n, n_eps = int(db.size), matrix.shape[0]
-        # n == 0 must stay inline even at min_shard_work=0: every
-        # segment would be zero-width and skipped, leaving no shards.
-        # A scope whose pool could not spawn also stays inline: the
-        # decomposition costs strictly more than inner.count without
-        # workers to spread it over (the carry's pass 1 is ~L sweeps).
-        if (self.workers <= 1 or n == 0 or n_eps == 0 or self._pool_failed
-                or n * n_eps < self.min_shard_work):
-            return self.inner.count(db, matrix, alphabet_size, policy,
-                                    window, index=index)
-        if policy is MatchPolicy.RESET:
-            job = self._database_axis_job(db, matrix, alphabet_size, policy)
-            return self._run(job)["total"]
-        if self._pick_axis(n_eps) == "database":
-            return self._count_database_axis_carry(
-                db, matrix, alphabet_size, policy, window, index=index
-            )
-        job = self._episode_axis_job(db, matrix, alphabet_size, policy, window,
-                                     index=index)
-        results = self._run(job)
-        return np.concatenate(
-            [results[key] for key in sorted(results, key=lambda k: k[1])]
-        )
-
     def count_batch(
         self,
         db: np.ndarray,
-        episodes: "CandidateTrie | list[Episode] | np.ndarray",
+        batch: CandidateTrie,
         alphabet_size: int,
         policy: MatchPolicy = MatchPolicy.RESET,
         window: int | None = None,
         index: DatabaseIndex | None = None,
     ) -> np.ndarray:
-        """Episode-axis sharding by trie *subtree* instead of row range.
+        """Shard the trie's count (see the class docstring for the axes).
 
-        Each shard receives whole root-child subtrees
-        (:meth:`~repro.mining.trie.CandidateTrie.subtree_index_groups`),
-        so prefix sharing survives inside every shard — workers rebuild
-        the sub-trie from the shipped rows and run the inner engine's
-        ``count_batch``.  Results scatter back through the explicit
-        per-shard episode-index arrays, which is exact regardless of
-        how insertion order interleaved the subtrees.  Supervision,
-        degradation, and inline fallbacks are identical to ``count``:
-        the same ``_run`` path executes the job, RESET and narrow
-        batches fall back to the database-axis/flat decompositions, and
-        a degraded scope counts inline on the inner engine.
+        Inline on the inner engine when sharding cannot pay: one
+        worker, an empty database or batch, a degraded scope, work
+        below ``min_shard_work``, or a trie with a single root subtree
+        on the episode axis.
         """
-        if not isinstance(episodes, CandidateTrie):
-            return super().count_batch(db, episodes, alphabet_size, policy,
-                                       window, index=index)
-        trie = episodes
         validate_window(policy, window)
         db = np.asarray(db)
-        n, n_eps = int(db.size), len(trie)
+        n, n_eps = int(db.size), len(batch)
         if n_eps == 0:
             return np.zeros(0, dtype=np.int64)
+        # n == 0 must stay inline even at min_shard_work=0: every
+        # segment would be zero-width and skipped, leaving no shards.
+        # A scope whose pool could not spawn also stays inline: the
+        # decomposition costs strictly more than the inner count
+        # without workers to spread it over.
         if (self.workers <= 1 or n == 0 or self._pool_failed
                 or n * n_eps < self.min_shard_work):
             return self.inner.count_batch(
-                db, trie, alphabet_size, policy, window, index=index
+                db, batch, alphabet_size, policy, window, index=index
             )
-        if (policy is MatchPolicy.RESET
-                or self._pick_axis(n_eps) == "database"):
-            # the n-gram pass / state-summarization carry decompose the
-            # *database*, where the trie offers nothing — flat path
-            return self.count(db, trie.matrix, alphabet_size, policy,
-                              window, index=index)
-        groups = trie.subtree_index_groups(self.workers)
+        if policy is MatchPolicy.RESET:
+            return self._count_reset(db, batch.matrix, alphabet_size)
+        if self._pick_axis(n_eps) == "database":
+            return self._count_database_axis_carry(
+                db, batch, alphabet_size, policy, window, index=index
+            )
+        groups = batch.subtree_index_groups(self.workers)
         if len(groups) <= 1:
             return self.inner.count_batch(
-                db, trie, alphabet_size, policy, window, index=index
+                db, batch, alphabet_size, policy, window, index=index
             )
-        matrix = trie.matrix
+        matrix = batch.matrix
+        # workers cache their index under this key; a caller-supplied
+        # index for this very database already carries the hash
         if index is not None and index.db is db:
             db_key = index.fingerprint
         else:
             db_key = db_fingerprint(db)
-        inputs: "list[KeyValue]" = []
-        for i, rows in enumerate(groups):
-            payload = self._payload(db, matrix[rows], alphabet_size, policy,
-                                    window, db_key=db_key)
-            payload["trie"] = True
-            inputs.append(KeyValue(("chunk", i), payload))
-        job = MapReduceJob(inputs=inputs, mapper=_sharded_mapper,
-                           reducer=_sum_reducer)
-        results = self._run(job)
+        tasks: "list[_Shard]" = [
+            _SubtreeShard(db, matrix[rows], alphabet_size, policy, window,
+                          self.inner.name, db_key)
+            for rows in groups
+        ]
         out = np.zeros(n_eps, dtype=np.int64)
-        for i, rows in enumerate(groups):
-            out[rows] = results[("chunk", i)]
+        for rows, counts in zip(groups, self._run(tasks)):
+            out[rows] = counts
         return out
 
     def _pick_axis(self, n_eps: int) -> str:
@@ -1247,7 +1174,7 @@ class ShardedEngine(CountingEngine):
 
         The episode axis is cheaper per character (the inner engine's
         position-hop path is sublinear in n), so auto keeps it whenever
-        the batch fills every worker with at least one chunk; narrower
+        the batch fills every worker with at least one episode; narrower
         batches cannot use the workers at all without splitting the
         database, which is exactly when the state carry earns its keep.
         """
@@ -1255,84 +1182,29 @@ class ShardedEngine(CountingEngine):
             return self.axis
         return "episode" if n_eps >= self.workers else "database"
 
-    def _payload(
-        self,
-        db: np.ndarray,
-        matrix: np.ndarray,
-        alphabet_size: int,
-        policy: MatchPolicy,
-        window: "int | None",
-        db_key: "str | None" = None,
-    ) -> dict:
-        payload = {
-            "kind": "segment",
-            "db": db,
-            "matrix": matrix,
-            "alphabet_size": alphabet_size,
-            "policy": policy.value,
-            "window": window,
-            "engine": self.inner.name,
-        }
-        if db_key is not None:
-            payload["db_key"] = db_key
-        return payload
-
-    def _database_axis_job(
-        self,
-        db: np.ndarray,
-        matrix: np.ndarray,
-        alphabet_size: int,
-        policy: MatchPolicy,
-    ) -> MapReduceJob:
-        length = matrix.shape[1]
+    def _count_reset(
+        self, db: np.ndarray, matrix: np.ndarray, alphabet_size: int
+    ) -> np.ndarray:
+        """RESET along the database axis: segment counts plus the
+        boundary span fix, summed."""
         bounds = segment_bounds(db.size, self.workers)
-        inputs = [
-            KeyValue("total", self._payload(db[lo:hi], matrix, alphabet_size,
-                                            policy, None))
+        tasks: "list[_Shard]" = [
+            _SegmentShard(db[lo:hi], matrix, alphabet_size)
             for lo, hi in bounds
             if hi > lo  # degenerate splits: skip zero-width segments
         ]
-        for _, start_lo, hi, start_hi in iter_boundary_windows(
-            bounds, int(db.size), length
-        ):
-            payload = self._payload(db[start_lo:hi], matrix, alphabet_size,
-                                    policy, None)
-            payload.update(kind="boundary", start_lo=0, start_hi=start_hi)
-            inputs.append(KeyValue("total", payload))
-        return MapReduceJob(inputs=inputs, mapper=_sharded_mapper,
-                            reducer=_sum_reducer)
-
-    def _episode_axis_job(
-        self,
-        db: np.ndarray,
-        matrix: np.ndarray,
-        alphabet_size: int,
-        policy: MatchPolicy,
-        window: "int | None",
-        index: "DatabaseIndex | None" = None,
-    ) -> MapReduceJob:
-        chunk = -(-matrix.shape[0] // self.workers)
-        # workers cache their index under this key; a caller-supplied
-        # index for this very database already carries the hash
-        if index is not None and index.db is db:
-            db_key = index.fingerprint
-        else:
-            db_key = db_fingerprint(db)
-        inputs = [
-            KeyValue(
-                ("chunk", i),
-                self._payload(db, matrix[lo : lo + chunk], alphabet_size,
-                              policy, window, db_key=db_key),
+        tasks += [
+            _BoundaryShard(db[start_lo:hi], matrix, alphabet_size, start_hi)
+            for _, start_lo, hi, start_hi in iter_boundary_windows(
+                bounds, int(db.size), matrix.shape[1]
             )
-            for i, lo in enumerate(range(0, matrix.shape[0], chunk))
         ]
-        return MapReduceJob(inputs=inputs, mapper=_sharded_mapper,
-                            reducer=_sum_reducer)
+        return np.sum(self._run(tasks), axis=0)
 
     def _count_database_axis_carry(
         self,
         db: np.ndarray,
-        matrix: np.ndarray,
+        batch: CandidateTrie,
         alphabet_size: int,
         policy: MatchPolicy,
         window: "int | None",
@@ -1340,7 +1212,7 @@ class ShardedEngine(CountingEngine):
     ) -> np.ndarray:
         """Two-pass state-summarization split along the database axis.
 
-        Pass 1 (workers): one ``summary`` shard per nonempty segment.
+        Pass 1 (workers): one summary shard per nonempty segment.
         Pass 2 (here): sequential compose of entry states — table
         lookups for SUBSEQUENCE, bounded lockstep fix-up for EXPIRING.
         The pool is acquired *before* committing to the decomposition:
@@ -1357,39 +1229,27 @@ class ShardedEngine(CountingEngine):
             if hi > lo
         ]
         if len(bounds) <= 1:
-            return self.inner.count(db, matrix, alphabet_size, policy,
-                                    window, index=index)
+            return self.inner.count_batch(db, batch, alphabet_size, policy,
+                                          window, index=index)
         pool, owned = self._acquire_run_pool()
         if pool is None:
-            return self.inner.count(db, matrix, alphabet_size, policy,
-                                    window, index=index)
-        inputs = [
-            KeyValue(
-                i,
-                {
-                    "kind": "summary",
-                    "db": db[lo:hi],
-                    "matrix": matrix,
-                    "policy": policy.value,
-                    "window": window,
-                    "t0": lo,
-                },
-            )
-            for i, (lo, hi) in enumerate(bounds)
+            return self.inner.count_batch(db, batch, alphabet_size, policy,
+                                          window, index=index)
+        matrix = batch.matrix
+        tasks: "list[_Shard]" = [
+            _SummaryShard(db[lo:hi], matrix, policy, window, lo)
+            for lo, hi in bounds
         ]
-        job = MapReduceJob(inputs=inputs, mapper=_sharded_mapper,
-                           reducer=_first_reducer)
-        results = self._run_supervised(job, pool, owned)
-        summaries = [results[i] for i in range(len(bounds))]
+        summaries: list = self._run_supervised(tasks, pool, owned)
         if policy is MatchPolicy.SUBSEQUENCE:
             seg_counts, _ = compose_subsequence(summaries, matrix.shape[0])
         else:
             seg_counts = compose_expiring(
-                db, matrix, int(window), bounds, summaries
+                db, matrix, int(window), bounds, summaries  # type: ignore[arg-type]
             )
         return seg_counts.sum(axis=0)
 
-    def _acquire_run_pool(self) -> "tuple[ProcessPoolEngine | None, bool]":
+    def _acquire_run_pool(self) -> "tuple[ProcessPoolExecutor | None, bool]":
         """``(pool, owned)``: the scope's pool (lazily spawned on the
         first sharding call, and lazily *re*-spawned while the scope's
         spawn budget lasts), or a caller-owned per-call pool outside a
@@ -1423,28 +1283,23 @@ class ShardedEngine(CountingEngine):
                 f"{self.inner.name!r} engine",
             )
 
-    def _run(self, job: MapReduceJob) -> dict:
-        from repro.mapreduce.cpu_engine import SerialEngine
-
+    def _run(self, tasks: "list[_Shard]") -> list:
+        """Each task's result, in task order."""
         pool, owned = self._acquire_run_pool()
         if pool is None:
-            # serial decomposition: same per-shard work as the pool
-            # would do (segment/boundary/chunk shards, unlike the carry
-            # above), so exactness is free and overhead negligible
-            return SerialEngine().run(job)
-        return self._run_supervised(job, pool, owned)
+            # serial decomposition: the same per-shard work the pool
+            # would do, so exactness is free and overhead negligible
+            return [task.run() for task in tasks]
+        return self._run_supervised(tasks, pool, owned)
 
     def _run_supervised(
-        self, job: MapReduceJob, pool: "ProcessPoolEngine", owned: bool
-    ) -> dict:
-        """Run ``job``'s shards under supervision and reduce.
+        self, tasks: "list[_Shard]", pool: ProcessPoolExecutor, owned: bool
+    ) -> list:
+        """Run ``tasks`` under supervision; results in task order.
 
-        The host below owns recovery policy (fault stamping at submit,
+        The host below owns recovery policy (fault draws at submit,
         budgeted respawns with backoff, degrading the scope); the
-        supervisor owns the tracked-future mechanics.  The reduce side
-        is the framework's own pipeline (intermediate -> group -> reduce)
-        applied to the supervised map output, so results are identical
-        to an unsupervised ``pool.run(job)`` on the happy path.
+        supervisor owns the tracked-future mechanics.
 
         Telemetry: dispatch runs under a ``shard-dispatch`` span.  Shard
         timing is the submit->done turnaround observed from the parent
@@ -1457,21 +1312,20 @@ class ShardedEngine(CountingEngine):
         rec = self.recorder
         turnaround: "list[float] | None" = [] if rec.enabled else None
         events_before = len(self.events)
-        host = _ShardJobHost(self, job.mapper, pool, owned,
-                             turnaround=turnaround)
-        with rec.span("shard-dispatch", shards=len(job.inputs)) as sp:
+        host = _ShardJobHost(self, pool, owned, turnaround=turnaround)
+        with rec.span("shard-dispatch", shards=len(tasks)) as sp:
             try:
-                mapped = ShardSupervisor(
+                results = ShardSupervisor(
                     host,
                     deadline_s=self.shard_deadline_s,
                     events=self.events,
-                ).map(list(job.inputs))
+                ).map(list(tasks))
             finally:
                 if owned:
-                    host.pool.__exit__(None, None, None)
+                    host.pool.shutdown()
         if rec.enabled:
             rec.count("sharded.jobs")
-            rec.count("sharded.shards", len(job.inputs))
+            rec.count("sharded.shards", len(tasks))
             new_events = self.events[events_before:]
             for ev in new_events:
                 rec.count(f"sharded.events.{ev.kind}")
@@ -1483,11 +1337,7 @@ class ShardedEngine(CountingEngine):
                 )
             if new_events:
                 sp.attrs["degradation_events"] = [ev.kind for ev in new_events]
-        if job.intermediate is not None:
-            mapped = list(job.intermediate(mapped))
-        grouped = group_by_key(mapped)
-        return {key: job.reducer(key, values)
-                for key, values in grouped.items()}
+        return results
 
 
 # ---------------------------------------------------------------------------

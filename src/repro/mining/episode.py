@@ -74,8 +74,19 @@ class Episode:
 
     @property
     def array(self) -> np.ndarray:
+        """The items as a read-only uint8 row (the episode-matrix form).
+
+        Raises :class:`~repro.errors.ValidationError` for item codes
+        above 255, which that form cannot hold.
+        """
         cached = self._array
         if cached is None:
+            top = max(self.items)
+            if top > 255:
+                raise ValidationError(
+                    f"episode code {top} does not fit the uint8 episode "
+                    "matrix (codes must be < 256)"
+                )
             cached = np.array(self.items, dtype=np.uint8)
             cached.setflags(write=False)
             object.__setattr__(self, "_array", cached)
@@ -121,7 +132,8 @@ class Episode:
 def episodes_to_matrix(episodes: list[Episode]) -> np.ndarray:
     """Stack same-length episodes into an (E, L) uint8 matrix.
 
-    The vectorized counting kernels operate on this matrix form.
+    The vectorized counting kernels operate on this matrix form; item
+    codes above 255 raise :class:`~repro.errors.ValidationError`.
     """
     if not episodes:
         raise ValidationError("need at least one episode")

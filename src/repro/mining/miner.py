@@ -1,8 +1,8 @@
 """The level-wise frequent-episode mining driver (paper Algorithm 1).
 
 ``generate candidates -> count -> eliminate -> generate next level``,
-with the counting step delegated to a pluggable engine (serial CPU,
-vectorized CPU, MapReduce, or a simulated-GPU algorithm) — the paper's
+with the counting step delegated to a pluggable engine (scalar,
+vectorized or sharded CPU, or a simulated-GPU algorithm) — the paper's
 whole point being that the counting step dominates and parallelizes.
 """
 
@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
 from repro.errors import MiningError, ValidationError
 from repro.mining.alphabet import Alphabet
 from repro.mining.candidates import generate_level, generate_next_level
-from repro.mining.engines import CountingEngine as RegistryEngine, get_engine
+from repro.mining.engines import CountingEngine, get_engine
 from repro.mining.episode import Episode
 from repro.mining.policies import MatchPolicy, validate_window
 from repro.mining.trie import CandidateTrie
@@ -30,12 +30,9 @@ from repro.obs.recorder import (
 from repro.obs.report import RunReport
 
 
-class CountingEngine(Protocol):
-    """Anything that can count a batch of same-length episodes."""
-
-    def __call__(
-        self, db: np.ndarray, episodes: list[Episode]
-    ) -> np.ndarray: ...
+#: a plain counting callable: ``(db, candidates) -> counts``, one count
+#: per candidate in trie order
+CountFn = Callable[[np.ndarray, CandidateTrie], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -136,7 +133,8 @@ class FrequentEpisodeMiner:
         Counting engine: a registry name (``"auto"``, ``"position-hop"``,
         ``"vector-sweep"``, ``"sharded"``, ...), a registry
         :class:`~repro.mining.engines.CountingEngine` instance, or any
-        ``(db, episodes) -> counts`` callable.  Defaults to ``"auto"``.
+        ``(db, candidates) -> counts`` callable (:data:`CountFn`).
+        Defaults to ``"auto"``.
         Registry engines share one
         :class:`~repro.mining.counting.DatabaseIndex` across all levels
         of a run.
@@ -165,7 +163,7 @@ class FrequentEpisodeMiner:
         threshold: float,
         policy: MatchPolicy = MatchPolicy.RESET,
         window: int | None = None,
-        engine: "CountingEngine | RegistryEngine | str | None" = None,
+        engine: "CountFn | CountingEngine | str | None" = None,
         max_level: int = 8,
         exhaustive_candidates: bool = False,
         recorder: "Recorder | NullRecorder | None" = None,
@@ -185,7 +183,7 @@ class FrequentEpisodeMiner:
         self.exhaustive_candidates = exhaustive_candidates
         self.recorder = recorder
         self._last_report: "RunReport | None" = None
-        if engine is None or isinstance(engine, (str, RegistryEngine)):
+        if engine is None or isinstance(engine, (str, CountingEngine)):
             self._engine = get_engine(engine or "auto").bind(
                 alphabet.size, policy, window
             )

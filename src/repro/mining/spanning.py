@@ -65,7 +65,7 @@ from repro.mining.counting import (
     _expiring_exit_row,
     _expiring_step,
     _resume_subsequence_hopping,
-    count_batch,
+    count_reset_batch,
     resume_expiring_batch,
     resume_subsequence_batch,
 )
@@ -154,7 +154,7 @@ def count_segmented(
     seg_counts = np.zeros((len(bounds), n_eps), dtype=np.int64)
     for i, (lo, hi) in enumerate(bounds):
         if hi > lo:  # zero-width segments (degenerate splits) stay 0
-            seg_counts[i] = count_batch(db[lo:hi], matrix, alphabet_size, policy)
+            seg_counts[i] = count_reset_batch(db[lo:hi], matrix, alphabet_size)
 
     bnd_counts = np.zeros((max(0, len(bounds) - 1), n_eps), dtype=np.int64)
     if fix_spanning:

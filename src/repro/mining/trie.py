@@ -64,6 +64,7 @@ if TYPE_CHECKING:  # runtime import would cycle through engines
 __all__ = [
     "CandidateTrie",
     "CountCache",
+    "as_trie",
     "cached_count_batch",
     "count_positions_trie",
     "expiring_summary_trie",
@@ -137,8 +138,8 @@ class CandidateTrie(Sequence):
             )
         trie = cls(level=int(matrix.shape[1]))
         trie._episodes = None
-        for row in matrix:
-            trie._insert_items(tuple(int(x) for x in row))
+        for row in matrix.tolist():
+            trie._insert_items(tuple(row))
         trie._matrix = matrix
         return trie
 
@@ -201,7 +202,7 @@ class CandidateTrie(Sequence):
     @property
     def n_edges(self) -> int:
         """Edge count — the number of position-list hops a trie-batched
-        count performs (vs ``len(trie) * level`` for the flat path)."""
+        count performs (vs ``len(trie) * level`` counting each episode alone)."""
         return len(self._children) - 1
 
     @property
@@ -316,6 +317,23 @@ class CandidateTrie(Sequence):
         )
 
 
+def as_trie(
+    batch: "CandidateTrie | Iterable[Episode] | np.ndarray",
+) -> CandidateTrie:
+    """The trie form of an episode batch, for the public counting edges.
+
+    Tries pass through unchanged; an ``(E, L)`` matrix becomes
+    :meth:`CandidateTrie.from_matrix`, anything else an episode iterable
+    for :meth:`CandidateTrie.from_episodes` — input order preserved, so
+    output slot ``i`` is still input episode ``i``.
+    """
+    if isinstance(batch, CandidateTrie):
+        return batch
+    if isinstance(batch, np.ndarray):
+        return CandidateTrie.from_matrix(batch)
+    return CandidateTrie.from_episodes(batch)
+
+
 def count_positions_trie(
     db: np.ndarray,
     trie: CandidateTrie,
@@ -325,8 +343,8 @@ def count_positions_trie(
     """Position-list counts for a trie batch: SUBSEQUENCE
     (``window=None``) or EXPIRING (``window`` set).
 
-    The trie-shared analogue of
-    :func:`repro.mining.counting.count_positions_batch`: a depth-first
+    The trie-shared analogue of the single-episode chain
+    (:func:`repro.mining.counting._chain_positions`): a depth-first
     walk carries each node's completion frontier ``(ends, starts)`` and
     hops it across every child edge exactly once, so episodes sharing a
     prefix share the prefix's entire chain computation.  The leaf level
@@ -336,8 +354,8 @@ def count_positions_trie(
     final hop and the greedy jump pointers are derived with linear
     indicator prefix sums instead of per-episode binary searches, and
     every leaf's greedy chain is walked simultaneously, one vectorized
-    gather per chain step.  The chains are the same latest-start jump
-    chains the flat path's
+    gather per chain step (long chains finish by binary lifting).  The
+    chains are the same latest-start jump chains the single-episode
     :func:`repro.mining.counting._greedy_nonoverlap_count` resolves,
     so counts are bit-identical.
     """
@@ -517,6 +535,19 @@ def expiring_summary_trie(
     return counts, exit_times
 
 
+#: a leaf parent whose positions (leaf occurrences + parent
+#: completions) number fewer than ``n / _SPARSE_RATIO`` reads its ranks
+#: by binary search instead of O(n) prefix sums
+_SPARSE_RATIO = 4
+#: a chase round's fixed interpreter cost, in gathered elements
+_CHASE_ROUND_OVERHEAD = 4096
+#: the chase first weighs binary lifting after this many rounds, then
+#: at every doubling of the round count
+_CHASE_PROBE_ROUNDS = 16
+#: positions per binary-lifting group (bounds the doubling tables)
+_LIFT_GROUP = 1 << 15
+
+
 def _index_dtype(top: int) -> "type[np.signedinteger]":
     """Narrowest index dtype holding ``0..top``: int32 while it fits
     (half the memory of int64 on the leaf pass), int64 beyond."""
@@ -534,17 +565,20 @@ class _LeafBatch:
     pair of prefix sums (rank of each end among the parent's chain
     starts, then rank of that rank among the segment's predecessor
     indices, segments kept disjoint by a per-segment offset).  Both are
-    O(n + sum of leaf positions) with no log factors.
+    O(n + sum of leaf positions) with no log factors; a parent with
+    few positions relative to ``n`` reads the same two ranks by binary
+    search instead (``_SPARSE_RATIO``).
 
     ``resolve`` then walks *every* leaf's greedy chain at once: one
     global jump array (strictly increasing, with an absorbing sentinel)
     and one gather per chain step, counting steps that stay inside each
-    leaf's segment.  Total gathered work is the sum of the actual chain
-    lengths — the counts themselves — rather than the
-    O(total completions x log) of per-leaf binary lifting.  Each chain
-    is exactly the one
-    :func:`repro.mining.counting._greedy_nonoverlap_count` walks, so
-    counts are bit-identical to the flat path.
+    leaf's segment.  While chains are short (wide batches) the gathered
+    work is the counts themselves, below the O(completions x log) of
+    binary lifting; when a few long chains would keep the loop going
+    (narrow batches on long databases) the chase hands them to binary
+    lifting instead (:func:`_lifting_pays`).  Each chain is exactly the
+    one :func:`repro.mining.counting._greedy_nonoverlap_count` walks,
+    so counts are bit-identical to per-episode counting.
     """
 
     __slots__ = ("n", "base", "jumps", "lo", "hi", "terminals")
@@ -576,13 +610,20 @@ class _LeafBatch:
         n = self.n
         allpos = np.concatenate(pos_arrays)
         seg = np.repeat(np.arange(len(children), dtype=np.int64), sizes)
+        # the prefix-sum reads below cost O(n) per parent whatever the
+        # parent's size; a sparse parent (narrow batch, long database)
+        # reads the same ranks with binary searches instead
+        sparse = (allpos.size + ends.size) * _SPARSE_RATIO < n
         # shared final hop (cf. counting._hop_positions): idx = number
         # of parent completions strictly before p, minus one — read off
         # a cumulative indicator instead of a per-leaf binary search
-        before = np.zeros(n + 1, dtype=np.int64)
-        before[ends + 1] = 1
-        np.cumsum(before, out=before)
-        idx = before[allpos] - 1
+        if sparse:
+            idx = np.searchsorted(ends, allpos, side="left") - 1
+        else:
+            before = np.zeros(n + 1, dtype=np.int64)
+            before[ends + 1] = 1
+            np.cumsum(before, out=before)
+            idx = before[allpos] - 1
         ok = idx >= 0
         idx0 = np.maximum(idx, 0)
         if window is not None:
@@ -600,9 +641,12 @@ class _LeafBatch:
         # starts[pred_k] with pred non-decreasing per segment, so
         # start_k <= e  <=>  pred_k < rank(e) where rank(e) = number of
         # parent chain starts <= e — two more prefix-sum reads.
-        rank = np.bincount(starts, minlength=n)
-        np.cumsum(rank, out=rank)
-        rv = rank[leaf_ends]
+        if sparse:
+            rv = np.searchsorted(starts, leaf_ends, side="right")
+        else:
+            rank = np.bincount(starts, minlength=n)
+            np.cumsum(rank, out=rank)
+            rv = rank[leaf_ends]
         span = int(ends.size) + 1  # > any pred value and any rank value
         shifted_pred = pred + seg * span
         shifted_rank = rv + seg * span
@@ -633,17 +677,114 @@ class _LeafBatch:
         nonempty = lo < hi
         counts = nonempty.astype(np.int64)  # first completion, when any
         # walk all chains at once; jump is strictly increasing below the
-        # sentinel, so dead chains drift monotonically and never revive
+        # sentinel, so dead chains drift monotonically and never revive.
+        # The chase pays one round per step of the longest chain, which
+        # a few long chains (narrow batch, long database) make dear; at
+        # doubling round counts it projects the remaining rounds from
+        # each live chain's progress so far and hands the live chains to
+        # binary lifting once that is the cheaper bill.
         cur = np.where(nonempty, lo, total)
+        rounds, probe = 0, _CHASE_PROBE_ROUNDS
         while True:
             cur = jump[cur].astype(np.int64)
             alive = cur < hi
             if not alive.any():
                 break
             counts += alive
+            rounds += 1
+            if rounds == probe:
+                probe *= 2
+                live = np.flatnonzero(alive)
+                if _lifting_pays(cur[live], lo[live], hi[live], rounds,
+                                 lo.size):
+                    _finish_chains(jump, cur, hi, counts, live)
+                    break
         for terms, count in zip(self.terminals, counts.tolist()):
             for i in terms:
                 out[i] = count
+
+
+def _lifting_pays(
+    cur: np.ndarray, lo: np.ndarray, hi: np.ndarray, rounds: int, width: int
+) -> bool:
+    """Whether binary lifting over live chains' unvisited ranges
+    ``[cur, hi)`` costs less than chasing them to the end.
+
+    Each chain has advanced ``cur - lo`` positions in ``rounds`` rounds;
+    at that pace the slowest needs ``max((hi - cur) * rounds / (cur -
+    lo))`` more, each round gathering over all ``width`` chains plus
+    the interpreter's fixed cost.  Lifting gathers every unvisited
+    position once per table, ``bit_length`` of the longest range
+    tables, and pays about a round's fixed cost per table.
+    """
+    left = hi - cur
+    more = int((left * rounds // (cur - lo)).max())
+    chase = more * (width + _CHASE_ROUND_OVERHEAD)
+    levels = int(left.max()).bit_length()
+    lift = (int(left.sum()) + _CHASE_ROUND_OVERHEAD) * levels
+    return chase > lift
+
+
+def _finish_chains(
+    jump: np.ndarray,
+    cur: np.ndarray,
+    hi: np.ndarray,
+    counts: np.ndarray,
+    live: np.ndarray,
+) -> None:
+    """Add to ``counts[c]`` (``c`` in ``live``) the steps chain ``c``
+    still takes from ``cur[c]`` before leaving its segment ``[., hi[c])``.
+
+    Binary lifting, as single-episode counting does it
+    (:func:`repro.mining.counting._walk_jump_chain`), over the chains'
+    unvisited ranges ``[cur, hi)`` laid end to end.  Chains go in
+    groups of about ``_LIFT_GROUP`` positions (a longer chain alone),
+    so the doubling tables stay bounded and every group reuses them.
+    """
+    sizes = hi[live] - cur[live]
+    reach = np.cumsum(sizes)
+    longest = int(sizes.max())
+    # intp tables (NumPy gathers through int32 indices cast them
+    # first); row k jumps 2**k steps
+    tables = np.empty(
+        (max(1, (longest - 1).bit_length()),
+         min(max(_LIFT_GROUP, longest), int(reach[-1])) + 1),
+        dtype=np.int64,
+    )
+    g0 = 0
+    while g0 < live.size:
+        cap = int(reach[g0] - sizes[g0]) + _LIFT_GROUP
+        g1 = max(g0 + 1, int(np.searchsorted(reach, cap, side="right")))
+        group = live[g0:g1]
+        counts[group] += _lift_steps(jump, cur[group], hi[group], tables)
+        g0 = g1
+
+
+def _lift_steps(
+    jump: np.ndarray, start: np.ndarray, stop: np.ndarray, tables: np.ndarray
+) -> np.ndarray:
+    """Steps each chain takes from ``start`` while staying below
+    ``stop``, building its doubling tables in ``tables``."""
+    sizes = stop - start
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    size = int(offsets[-1])
+    shift = np.repeat(offsets[:-1] - start, sizes)  # global -> local
+    target = jump[np.arange(size, dtype=np.int64) - shift]
+    inside = target < np.repeat(stop, sizes)
+    levels = max(1, (int(sizes.max()) - 1).bit_length())
+    tables = tables[:levels, :size + 1]
+    tables[0, :size] = np.where(inside, target + shift, size)
+    tables[0, size] = size  # the sentinel maps to itself
+    for k in range(1, levels):
+        np.take(tables[k - 1], tables[k - 1], out=tables[k])
+    pos = offsets[:-1]
+    steps = np.zeros(sizes.size, dtype=np.int64)
+    for k in range(levels - 1, -1, -1):
+        nxt = tables[k][pos]
+        ok = nxt < size
+        steps += ok.astype(np.int64) << k
+        pos = np.where(ok, nxt, pos)
+    return steps
 
 
 class CountCache:

@@ -14,10 +14,10 @@ The hooks are consulted only in the parent process, at well-defined
 points:
 
 * :meth:`FaultPlan.take_shard_fault` — by the sharded engine as it
-  submits each shard; a drawn fault is stamped into the *submitted*
-  payload copy (the clean record is kept for any in-process recount),
-  and the worker honors the stamp (``os._exit`` for ``crash``, a sleep
-  for ``hang``, ``RuntimeError`` for ``raise``).
+  submits each shard; a drawn fault travels beside the submitted shard
+  task (the task itself stays clean for any in-process recount), and
+  the worker honors it (``os._exit`` for ``crash``, a sleep for
+  ``hang``, ``RuntimeError`` for ``raise``).
 * :meth:`FaultPlan.take_pool_spawn_failure` — by
   ``ShardedEngine._make_pool`` before a real spawn attempt.
 * :meth:`FaultPlan.take_checkpoint_fault` — by the streaming
@@ -47,7 +47,7 @@ __all__ = [
     "inject",
 ]
 
-#: shard fault kinds a worker honors (see ``_sharded_mapper``)
+#: shard fault kinds a worker honors (see ``engines._run_shard``)
 SHARD_FAULT_KINDS = ("crash", "hang", "raise")
 #: checkpoint fault kinds the checkpoint writer honors
 CHECKPOINT_FAULT_KINDS = ("torn", "corrupt")

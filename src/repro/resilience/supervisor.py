@@ -15,9 +15,9 @@ forces a whole-call in-process recompute the moment anything breaks:
 * when the pool cannot be recovered (respawn budget exhausted, or the
   respawn itself fails), the remaining shards run in-process and a
   ``"degraded"`` event records the fall down the chain;
-* shard (mapper) *exceptions* are never retried — they are programming
-  errors, not infrastructure failures, and propagate as themselves
-  (the contract the sharded engine has honored since it narrowed its
+* shard *exceptions* are never retried — they are programming errors,
+  not infrastructure failures, and propagate as themselves (the
+  contract the sharded engine has honored since it narrowed its
   fallback to pool-death).
 
 Every decision is recorded as a :class:`DegradationEvent` so callers
@@ -30,7 +30,7 @@ of fault injection; it talks to the pool owner through a small host
 protocol (``submit`` / ``inline`` / ``respawn`` / ``abandon``) and only
 reasons about futures, deadlines, and retries.  Exactness is the
 host's invariant: ``inline(record)`` must compute exactly what the
-pool would have, which every counting-engine mapper satisfies.
+pool would have, which every counting shard task satisfies.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ class PoolHost(Protocol):
     """What the supervisor needs from the pool's owner."""
 
     def submit(self, record: object) -> "object": ...  # -> concurrent Future
-    def inline(self, record: object) -> list: ...       # exact in-process compute
+    def inline(self, record: object) -> object: ...     # exact in-process compute
     def respawn(self, attempt: int) -> bool: ...  # replace a dead pool
     def abandon(self) -> None: ...              # drop a poisoned pool
 
@@ -130,8 +130,8 @@ class PoolHost(Protocol):
 class ShardSupervisor:
     """Run one job's shards under supervision (see module docs).
 
-    ``map(records)`` returns the concatenated mapper outputs in input
-    order — exactly what an unsupervised map phase would return — no
+    ``map(records)`` returns one output per record, in input order —
+    exactly what running every record in-process would return — no
     matter which failure path was taken to get there.
     """
 
@@ -159,7 +159,7 @@ class ShardSupervisor:
         )
 
     def map(self, records: list) -> list:
-        outputs: "list[list | None]" = [None] * len(records)
+        outputs: "list[object]" = [None] * len(records)
         unfinished = set(range(len(records)))
         pending: dict = {}    # future -> record index
         deadlines: dict = {}  # future -> absolute monotonic deadline
@@ -201,7 +201,7 @@ class ShardSupervisor:
                 except (BrokenProcessPool, CancelledError):
                     broken = True
                 except BaseException:
-                    # a mapper exception: cancel what we can and let it
+                    # a shard exception: cancel what we can and let it
                     # propagate as itself — never retried (see module docs)
                     for other in pending:
                         other.cancel()
@@ -256,4 +256,4 @@ class ShardSupervisor:
                     )
         if poisoned:
             self.host.abandon()
-        return [kv for out in outputs for kv in (out or [])]
+        return outputs

@@ -53,7 +53,7 @@ from repro.mining.alphabet import Alphabet
 from repro.mining.candidates import generate_level, generate_next_level
 from repro.mining.counting import _NEG
 from repro.mining.engines import (
-    CountingEngine as RegistryEngine,
+    CountingEngine,
     get_engine,
 )
 from repro.mining.episode import Episode, episodes_to_matrix
@@ -197,7 +197,7 @@ class StreamingMiner:
         threshold: float,
         policy: MatchPolicy = MatchPolicy.RESET,
         window: "int | None" = None,
-        engine: "str | RegistryEngine | None" = None,
+        engine: "str | CountingEngine | None" = None,
         mode: str = "landmark",
         horizon: "int | None" = None,
         max_level: int = 8,
@@ -230,7 +230,7 @@ class StreamingMiner:
             raise ConfigError(
                 f"retention must be >= 1 events, got {retention}"
             )
-        if engine is not None and not isinstance(engine, (str, RegistryEngine)):
+        if engine is not None and not isinstance(engine, (str, CountingEngine)):
             raise ValidationError(
                 "streaming mining needs a registry engine (name or "
                 "CountingEngine instance), not a plain callable"
@@ -466,7 +466,7 @@ class StreamingMiner:
     def resume(
         cls,
         path: "str | Path",
-        engine: "str | RegistryEngine | None" = None,
+        engine: "str | CountingEngine | None" = None,
     ) -> "StreamingMiner":
         """Rebuild a miner from a :meth:`checkpoint` file.
 

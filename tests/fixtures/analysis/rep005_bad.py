@@ -1,5 +1,4 @@
 """REP005 bad fixture: unpicklable callables shipped to process pools."""
-from repro.mapreduce import MapReduceJob
 
 
 def fan_out(pool, records, scale):
@@ -8,6 +7,6 @@ def fan_out(pool, records, scale):
     def local_mapper(record):  # closes over this frame: unpicklable
         return [record * scale]
 
-    job = MapReduceJob("scaled", local_mapper, reducer=lambda k, vs: vs[0])
+    local = [pool.submit(local_mapper, rec) for rec in records]
     results = pool.map(lambda r: r * scale, records)
-    return futures, job, results
+    return futures, local, results

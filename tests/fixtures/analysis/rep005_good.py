@@ -1,21 +1,14 @@
 """REP005 good fixture: module-level callables only; threads exempt."""
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.mapreduce import MapReduceJob
-
 
 def _scale_mapper(record):
     return [record * 2]
 
 
-def _first_reducer(key, values):
-    return values[0]
-
-
 def fan_out(pool, records):
     futures = [pool.submit(_scale_mapper, rec) for rec in records]
-    job = MapReduceJob("scaled", _scale_mapper, reducer=_first_reducer)
     with ThreadPoolExecutor(4) as thread_pool:
         # threads share the process: nothing is pickled
         threaded = list(thread_pool.map(lambda r: r * 2, records))
-    return futures, job, threaded
+    return futures, threaded

@@ -56,8 +56,8 @@ FIXTURE_CASES = {
     "rep003_good.py": ("src/repro/mining/fixture_mod.py", []),
     "rep004_bad.py": ("src/repro/resilience/fixture_mod.py", ["REP004"]),
     "rep004_good.py": ("src/repro/resilience/fixture_mod.py", []),
-    "rep005_bad.py": ("src/repro/mapreduce/fixture_mod.py", ["REP005"] * 4),
-    "rep005_good.py": ("src/repro/mapreduce/fixture_mod.py", []),
+    "rep005_bad.py": ("src/repro/resilience/fixture_mod.py", ["REP005"] * 3),
+    "rep005_good.py": ("src/repro/resilience/fixture_mod.py", []),
     "rep006_bad.py": ("src/repro/streaming/fixture_mod.py", ["REP006"] * 5),
     "rep006_good.py": ("src/repro/streaming/fixture_mod.py", []),
 }

@@ -44,8 +44,8 @@ def test_engine_throughput_no_regression():
         # one 5 ms RESET run must not read as a pessimization)
         streaming=dict(n_chunks=6, chunk_events=2000, repeats=2),
         # a scaled-down trie grid (N=12 -> 1,320 level-3 candidates):
-        # the flat-vs-trie checksum equality is machine-independent and
-        # gated hard below; the speedup floor stays advisory in tier-1
+        # the trie-vs-sweep checksum equality is machine-independent
+        # and gated hard below
         trie_batch=dict(n=8_000, alphabet_size=12),
         # a scaled-down telemetry workload: the overhead ceilings are
         # relative and within-process, so they gate hard at any size

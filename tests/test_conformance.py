@@ -24,7 +24,7 @@ from repro.mining.counting import count_batch_reference, count_matrix_reference
 from repro.mining.engines import REGISTRY, get_engine, list_engines
 from repro.mining.episode import Episode
 from repro.mining.policies import MatchPolicy
-from repro.mining.trie import CandidateTrie
+from repro.mining.trie import CandidateTrie, as_trie
 
 #: enumerated at collection time: a newly registered engine joins the
 #: conformance matrix without touching this file
@@ -64,7 +64,9 @@ class TestDifferentialMatrix:
         engine = fresh_engine(name)
         for level in (1, 2, 3):
             eps = generate_level(ALPHA, level)
-            got = engine.count(db, eps, ALPHA.size, policy, window)
+            got = engine.count_batch(
+                db, as_trie(eps), ALPHA.size, policy, window
+            )
             ref = count_batch_reference(db, eps, ALPHA.size, policy, window)
             assert np.array_equal(got, ref), (name, policy, level)
 
@@ -78,7 +80,9 @@ class TestDifferentialMatrix:
         matrix = np.array(
             [[0, 0, 1], [2, 2, 2], [1, 0, 1], [4, 4, 0]], dtype=np.uint8
         )
-        got = fresh_engine(name).count(db, matrix, ALPHA.size, policy, window)
+        got = fresh_engine(name).count_batch(
+            db, as_trie(matrix), ALPHA.size, policy, window
+        )
         ref = count_matrix_reference(db, matrix, policy, window)
         assert np.array_equal(got, ref), (name, policy)
 
@@ -91,7 +95,9 @@ class TestDegenerateShapes:
     def test_empty_database(self, name, policy, window):
         db = np.array([], dtype=np.uint8)
         eps = [Episode((0, 1))]
-        got = fresh_engine(name).count(db, eps, ALPHA.size, policy, window)
+        got = fresh_engine(name).count_batch(
+            db, as_trie(eps), ALPHA.size, policy, window
+        )
         assert np.array_equal(got, np.zeros(1, dtype=np.int64)), (name, policy)
 
     @pytest.mark.parametrize("name", ENGINE_NAMES)
@@ -100,12 +106,16 @@ class TestDegenerateShapes:
         db = np.array([2], dtype=np.uint8)
         engine = fresh_engine(name)
         singles = [Episode((2,)), Episode((0,))]
-        got = engine.count(db, singles, ALPHA.size, policy, window)
+        got = engine.count_batch(
+            db, as_trie(singles), ALPHA.size, policy, window
+        )
         ref = count_batch_reference(db, singles, ALPHA.size, policy, window)
         assert np.array_equal(got, ref), (name, policy)
         assert got[0] == 1 and got[1] == 0
         pair = [Episode((2, 3))]  # longer than the database: never matches
-        assert int(engine.count(db, pair, ALPHA.size, policy, window)[0]) == 0
+        assert int(engine.count_batch(
+            db, as_trie(pair), ALPHA.size, policy, window
+        )[0]) == 0
 
     @pytest.mark.parametrize("name", ENGINE_NAMES)
     @pytest.mark.parametrize("policy,window", POLICIES)
@@ -113,7 +123,9 @@ class TestDegenerateShapes:
         """E=1: the narrowest batch every axis/chunk heuristic must survive."""
         db = np.random.default_rng(78).integers(0, 5, 120).astype(np.uint8)
         eps = [Episode((1, 3))]
-        got = fresh_engine(name).count(db, eps, ALPHA.size, policy, window)
+        got = fresh_engine(name).count_batch(
+            db, as_trie(eps), ALPHA.size, policy, window
+        )
         ref = count_batch_reference(db, eps, ALPHA.size, policy, window)
         assert np.array_equal(got, ref), (name, policy)
 
@@ -121,7 +133,7 @@ class TestDegenerateShapes:
     def test_empty_episode_batch(self, name):
         db = np.random.default_rng(79).integers(0, 5, 50).astype(np.uint8)
         matrix = np.zeros((0, 2), dtype=np.uint8)
-        got = fresh_engine(name).count(db, matrix, ALPHA.size)
+        got = fresh_engine(name).count_batch(db, as_trie(matrix), ALPHA.size)
         assert got.shape == (0,), name
 
     @pytest.mark.parametrize("name", ENGINE_NAMES)
@@ -130,8 +142,9 @@ class TestDegenerateShapes:
         eps = generate_level(ALPHA, 2)
         engine = fresh_engine(name)
         for window in (1, int(db.size), int(db.size) + 7):
-            got = engine.count(db, eps, ALPHA.size, MatchPolicy.EXPIRING,
-                               window)
+            got = engine.count_batch(
+                db, as_trie(eps), ALPHA.size, MatchPolicy.EXPIRING, window
+            )
             ref = count_batch_reference(db, eps, ALPHA.size,
                                         MatchPolicy.EXPIRING, window)
             assert np.array_equal(got, ref), (name, window)
@@ -224,16 +237,18 @@ class TestUniformValidation:
     def test_window_zero_rejected(self, name):
         db = np.array([0, 1], dtype=np.uint8)
         with pytest.raises(ValidationError, match="window"):
-            fresh_engine(name).count(
-                db, [Episode((0, 1))], ALPHA.size, MatchPolicy.EXPIRING, 0
+            fresh_engine(name).count_batch(
+                db, as_trie([Episode((0, 1))]), ALPHA.size,
+                MatchPolicy.EXPIRING, 0,
             )
 
     @pytest.mark.parametrize("name", ENGINE_NAMES)
     def test_missing_window_rejected(self, name):
         db = np.array([0, 1], dtype=np.uint8)
         with pytest.raises(ValidationError, match="window"):
-            fresh_engine(name).count(
-                db, [Episode((0, 1))], ALPHA.size, MatchPolicy.EXPIRING, None
+            fresh_engine(name).count_batch(
+                db, as_trie([Episode((0, 1))]), ALPHA.size,
+                MatchPolicy.EXPIRING, None,
             )
 
     @pytest.mark.parametrize("name", ENGINE_NAMES)
@@ -243,8 +258,8 @@ class TestUniformValidation:
     def test_spurious_window_rejected(self, name, policy):
         db = np.array([0, 1], dtype=np.uint8)
         with pytest.raises(ValidationError, match="window"):
-            fresh_engine(name).count(
-                db, [Episode((0, 1))], ALPHA.size, policy, 5
+            fresh_engine(name).count_batch(
+                db, as_trie([Episode((0, 1))]), ALPHA.size, policy, 5
             )
 
 
@@ -275,13 +290,15 @@ class TestRunScopeContract:
         db, eps, ref = workload
         engine = fresh_engine(name)
         with engine:
-            got = engine.count(db, eps, ALPHA.size, MatchPolicy.SUBSEQUENCE)
+            got = engine.count_batch(
+                db, as_trie(eps), ALPHA.size, MatchPolicy.SUBSEQUENCE
+            )
         assert np.array_equal(got, ref), name
 
     @pytest.mark.parametrize("name", ENGINE_NAMES)
     def test_counting_outside_any_scope(self, name, workload):
         db, eps, ref = workload
-        got = fresh_engine(name).count(db, eps, ALPHA.size,
+        got = fresh_engine(name).count_batch(db, as_trie(eps), ALPHA.size,
                                        MatchPolicy.SUBSEQUENCE)
         assert np.array_equal(got, ref), name
 
@@ -291,10 +308,16 @@ class TestRunScopeContract:
         db, eps, ref = workload
         engine = fresh_engine(name)
         with engine:
-            first = engine.count(db, eps, ALPHA.size, MatchPolicy.SUBSEQUENCE)
-        second = engine.count(db, eps, ALPHA.size, MatchPolicy.SUBSEQUENCE)
+            first = engine.count_batch(
+                db, as_trie(eps), ALPHA.size, MatchPolicy.SUBSEQUENCE
+            )
+        second = engine.count_batch(
+            db, as_trie(eps), ALPHA.size, MatchPolicy.SUBSEQUENCE
+        )
         with engine:
-            third = engine.count(db, eps, ALPHA.size, MatchPolicy.SUBSEQUENCE)
+            third = engine.count_batch(
+                db, as_trie(eps), ALPHA.size, MatchPolicy.SUBSEQUENCE
+            )
         for got in (first, second, third):
             assert np.array_equal(got, ref), name
 
@@ -305,9 +328,11 @@ class TestRunScopeContract:
         engine = fresh_engine(name)
         with engine:
             with engine:
-                inner = engine.count(db, eps, ALPHA.size,
+                inner = engine.count_batch(db, as_trie(eps), ALPHA.size,
                                      MatchPolicy.SUBSEQUENCE)
-            outer = engine.count(db, eps, ALPHA.size, MatchPolicy.SUBSEQUENCE)
+            outer = engine.count_batch(
+                db, as_trie(eps), ALPHA.size, MatchPolicy.SUBSEQUENCE
+            )
         assert np.array_equal(inner, ref), name
         assert np.array_equal(outer, ref), name
 
@@ -348,6 +373,8 @@ class TestForcedShardingConformance:
         engine = ShardedEngine(inner=inner, workers=3, min_shard_work=0)
         eps = generate_level(ALPHA, 2)
         with engine:
-            got = engine.count(db, eps, ALPHA.size, policy, window)
+            got = engine.count_batch(
+                db, as_trie(eps), ALPHA.size, policy, window
+            )
         ref = count_batch_reference(db, eps, ALPHA.size, policy, window)
         assert np.array_equal(got, ref), (inner, policy)

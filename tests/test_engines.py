@@ -23,7 +23,7 @@ from repro.mining.counting import (
     count_batch_reference,
     count_episode,
     count_matrix_reference,
-    _count_subsequence_hopping,
+    db_fingerprint,
 )
 from repro.mining.engines import (
     AutoEngine,
@@ -35,10 +35,24 @@ from repro.mining.engines import (
     get_engine,
     list_engines,
     register_engine,
+    spawn_probed_pool,
+    _BoundaryShard,
+    _run_shard,
+    _SegmentShard,
+    _SubtreeShard,
+    _SummaryShard,
 )
 from repro.mining.episode import Episode
 from repro.mining.miner import FrequentEpisodeMiner
 from repro.mining.policies import MatchPolicy
+from repro.mining.spanning import (
+    compose_expiring,
+    compose_subsequence,
+    iter_boundary_windows,
+    segment_bounds,
+)
+from repro.mining.trie import CandidateTrie, as_trie
+from repro.resilience.faults import ShardFault
 
 ENGINE_NAMES = (
     "scalar-oracle", "vector-sweep", "position-hop", "auto", "gpu-sim",
@@ -113,10 +127,10 @@ class TestRegistry:
         class Doubler(CountingEngine):
             name = "test-doubler"
 
-            def count(self, db, episodes, alphabet_size,
-                      policy=MatchPolicy.RESET, window=None, index=None):
-                return 2 * get_engine("auto").count(
-                    db, episodes, alphabet_size, policy, window, index=index
+            def count_batch(self, db, batch, alphabet_size,
+                            policy=MatchPolicy.RESET, window=None, index=None):
+                return 2 * get_engine("auto").count_batch(
+                    db, batch, alphabet_size, policy, window, index=index
                 )
 
         from repro.mining.engines import REGISTRY
@@ -141,7 +155,9 @@ class TestEngineEquivalence:
         db = np.random.default_rng(11).integers(0, 4, 200).astype(np.uint8)
         for level in (1, 2, 3):
             eps = generate_level(alpha, level)
-            got = get_engine(name).count(db, eps, 4, policy, window)
+            got = get_engine(name).count_batch(
+                db, as_trie(eps), 4, policy, window
+            )
             ref = count_batch_reference(db, eps, 4, policy, window)
             assert np.array_equal(got, ref), (name, policy, level)
 
@@ -153,7 +169,9 @@ class TestEngineEquivalence:
         ep = data.draw(episode_strategy(n))
         engine = get_engine(name)
         for policy, window in POLICIES:
-            got = int(engine.count(db, [ep], n, policy, window)[0])
+            got = int(engine.count_batch(
+                db, as_trie([ep]), n, policy, window
+            )[0])
             ref = int(count_batch_reference(db, [ep], n, policy, window)[0])
             assert got == ref, (name, policy)
 
@@ -172,7 +190,7 @@ class TestEngineEquivalence:
             (MatchPolicy.SUBSEQUENCE, None),
             (MatchPolicy.EXPIRING, window),
         ]:
-            got = engine.count(db, matrix, n, policy, w)
+            got = engine.count_batch(db, as_trie(matrix), n, policy, w)
             ref = count_matrix_reference(db, matrix, policy, w)
             assert np.array_equal(got, ref), (name, policy, matrix.tolist())
 
@@ -185,7 +203,9 @@ class TestEngineEquivalence:
         ep = data.draw(episode_strategy(n))
         engine = get_engine(name)
         for window in (1, max(int(db.size), 1), int(db.size) + 10):
-            got = int(engine.count(db, [ep], n, MatchPolicy.EXPIRING, window)[0])
+            got = int(engine.count_batch(
+                db, as_trie([ep]), n, MatchPolicy.EXPIRING, window
+            )[0])
             ref = int(
                 count_batch_reference(db, [ep], n, MatchPolicy.EXPIRING, window)[0]
             )
@@ -198,9 +218,12 @@ class TestEngineEquivalence:
         db = data.draw(db_strategy(n))
         ep = data.draw(episode_strategy(n))
         engine = get_engine(name)
-        loose = int(engine.count(db, [ep], n, MatchPolicy.EXPIRING,
-                                 int(db.size) + 1)[0])
-        subseq = int(engine.count(db, [ep], n, MatchPolicy.SUBSEQUENCE)[0])
+        loose = int(engine.count_batch(
+            db, as_trie([ep]), n, MatchPolicy.EXPIRING, int(db.size) + 1
+        )[0])
+        subseq = int(engine.count_batch(
+            db, as_trie([ep]), n, MatchPolicy.SUBSEQUENCE
+        )[0])
         assert loose == subseq
 
     @given(data=st.data(), n=small_alphabet)
@@ -241,8 +264,9 @@ class TestDatabaseIndex:
         db = np.random.default_rng(5).integers(0, 4, 300).astype(np.uint8)
         index = DatabaseIndex(db)
         for ep in generate_level(Alphabet.of_size(4), 2):
-            with_index = _count_subsequence_hopping(db, ep, index=index)
-            fresh = _count_subsequence_hopping(db, ep)
+            with_index = count_episode(db, ep, 4, MatchPolicy.SUBSEQUENCE,
+                                       index=index)
+            fresh = count_episode(db, ep, 4, MatchPolicy.SUBSEQUENCE)
             assert with_index == fresh
 
     def test_bound_engine_reuses_index_per_db(self):
@@ -321,12 +345,12 @@ class TestCountEpisodeDirect:
 class TestShardedEngine:
     @pytest.mark.parametrize("policy,window", POLICIES)
     def test_sharding_engaged_matches_oracle(self, policy, window):
-        """min_shard_work=0 forces the MapReduce split even on small data."""
+        """min_shard_work=0 forces the shard split even on small data."""
         engine = ShardedEngine(inner="auto", workers=3, min_shard_work=0)
         alpha = Alphabet.of_size(5)
         db = np.random.default_rng(23).integers(0, 5, 400).astype(np.uint8)
         eps = generate_level(alpha, 2)
-        got = engine.count(db, eps, 5, policy, window)
+        got = engine.count_batch(db, as_trie(eps), 5, policy, window)
         ref = count_batch_reference(db, eps, 5, policy, window)
         assert np.array_equal(got, ref), policy
 
@@ -343,15 +367,16 @@ class TestShardedEngine:
     def test_small_problems_run_inline(self):
         engine = ShardedEngine(workers=4)  # default threshold: stays inline
         db = np.array([0, 1, 0, 1], dtype=np.uint8)
-        assert engine.count(db, [Episode((0, 1))], 3)[0] == 2
+        assert engine.count_batch(db, as_trie([Episode((0, 1))]), 3)[0] == 2
 
     @pytest.mark.parametrize("policy,window", POLICIES)
     def test_empty_database_with_forced_sharding(self, policy, window):
         """Regression: n=0 with min_shard_work=0 left the RESET job with
         zero shards (all segments zero-width) and a KeyError."""
         engine = ShardedEngine(workers=4, min_shard_work=0)
-        got = engine.count(
-            np.array([], dtype=np.uint8), [Episode((0, 1))], 3, policy, window
+        got = engine.count_batch(
+            np.array([], dtype=np.uint8), as_trie([Episode((0, 1))]), 3,
+            policy, window,
         )
         assert np.array_equal(got, np.zeros(1, dtype=np.int64)), policy
 
@@ -362,17 +387,18 @@ class TestShardedEngine:
         engine = ShardedEngine(workers=8, min_shard_work=0)
         db = np.array([0, 1, 2, 0, 1], dtype=np.uint8)
         eps = [Episode((0, 1)), Episode((1, 2))]
-        got = engine.count(db, eps, 3, policy, window)
+        got = engine.count_batch(db, as_trie(eps), 3, policy, window)
         ref = count_batch_reference(db, eps, 3, policy, window)
         assert np.array_equal(got, ref), policy
 
     def test_episode_axis_preserves_order(self):
-        """More episodes than one chunk: concatenation must keep order."""
+        """More episodes than one subtree shard: the scatter back must
+        keep trie order."""
         engine = ShardedEngine(workers=2, min_shard_work=0)
         alpha = Alphabet.of_size(6)
         db = np.random.default_rng(29).integers(0, 6, 300).astype(np.uint8)
         eps = generate_level(alpha, 2)
-        got = engine.count(db, eps, 6, MatchPolicy.SUBSEQUENCE)
+        got = engine.count_batch(db, as_trie(eps), 6, MatchPolicy.SUBSEQUENCE)
         ref = count_batch(db, eps, 6, MatchPolicy.SUBSEQUENCE)
         assert np.array_equal(got, ref)
 
@@ -383,13 +409,14 @@ class TestShardedEngine:
         alpha = Alphabet.of_size(5)
         db = np.random.default_rng(31).integers(0, 5, 400).astype(np.uint8)
         eps = generate_level(alpha, 2)
-        got = engine.count(db, eps, 5, policy, window)
+        got = engine.count_batch(db, as_trie(eps), 5, policy, window)
         ref = count_batch_reference(db, eps, 5, policy, window)
         assert np.array_equal(got, ref), policy
 
-    def test_bad_workers(self):
-        with pytest.raises(ConfigError):
-            ShardedEngine(workers=0)
+    @pytest.mark.parametrize("workers", (0, -2))
+    def test_bad_workers(self, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            ShardedEngine(workers=workers)
 
     def test_bad_axis(self):
         with pytest.raises(ConfigError, match="axis"):
@@ -406,8 +433,8 @@ class TestShardedEngine:
         class Custom(CountingEngine):
             name = "never-registered"
 
-            def count(self, db, episodes, alphabet_size,
-                      policy=MatchPolicy.RESET, window=None, index=None):
+            def count_batch(self, db, batch, alphabet_size,
+                            policy=MatchPolicy.RESET, window=None, index=None):
                 raise AssertionError("unreachable")
 
         with pytest.raises(ConfigError, match="register_engine"):
@@ -416,11 +443,9 @@ class TestShardedEngine:
 
 def _pools_available() -> bool:
     """True where this platform can spawn process-pool workers."""
-    from repro.mapreduce.cpu_engine import ProcessPoolEngine
-
     try:
-        with ProcessPoolEngine(workers=2):
-            return True
+        spawn_probed_pool(2).shutdown()
+        return True
     except (OSError, RuntimeError):
         return False
 
@@ -443,7 +468,7 @@ class TestShardedDatabaseAxisCarry:
             (MatchPolicy.SUBSEQUENCE, None),
             (MatchPolicy.EXPIRING, window),
         ]:
-            got = int(engine.count(db, [ep], n, policy, w)[0])
+            got = int(engine.count_batch(db, as_trie([ep]), n, policy, w)[0])
             ref = int(count_batch_reference(db, [ep], n, policy, w)[0])
             assert got == ref, (policy, w, workers)
 
@@ -457,7 +482,9 @@ class TestShardedDatabaseAxisCarry:
             (MatchPolicy.SUBSEQUENCE, None),
             (MatchPolicy.EXPIRING, 2),
         ]:
-            assert int(engine.count(db, [ep], 6, policy, w)[0]) == 1, policy
+            assert int(engine.count_batch(
+                db, as_trie([ep]), 6, policy, w
+            )[0]) == 1, policy
 
     def test_window_edge_at_segment_boundary(self):
         """EXPIRING gaps that exactly equal / exceed the window right at
@@ -467,10 +494,14 @@ class TestShardedDatabaseAxisCarry:
         # A at 2, B at 3 (boundary): gap 1 <= window 1 -> counts
         db = alpha.encode("DDABDD")
         ep = Episode.from_symbols("AB", alpha)
-        assert int(engine.count(db, [ep], 4, MatchPolicy.EXPIRING, 1)[0]) == 1
+        assert int(engine.count_batch(
+            db, as_trie([ep]), 4, MatchPolicy.EXPIRING, 1
+        )[0]) == 1
         # A at 1, B at 3: gap 2 > window 1 -> expires across the boundary
         db = alpha.encode("DADBDD")
-        assert int(engine.count(db, [ep], 4, MatchPolicy.EXPIRING, 1)[0]) == 0
+        assert int(engine.count_batch(
+            db, as_trie([ep]), 4, MatchPolicy.EXPIRING, 1
+        )[0]) == 0
         ref = count_batch_reference(db, [ep], 4, MatchPolicy.EXPIRING, 1)
         assert int(ref[0]) == 0
 
@@ -484,7 +515,7 @@ class TestShardedDatabaseAxisCarry:
             (MatchPolicy.SUBSEQUENCE, None),
             (MatchPolicy.EXPIRING, 3),
         ]:
-            got = engine.count(db, matrix, 4, policy, w)
+            got = engine.count_batch(db, as_trie(matrix), 4, policy, w)
             ref = count_matrix_reference(db, matrix, policy, w)
             assert np.array_equal(got, ref), policy
 
@@ -516,7 +547,9 @@ class TestShardedRunScope:
         with engine:
             assert not engine.pool_active  # lazy: nothing sharded yet
             for policy, w in POLICIES:
-                refs[policy] = engine.count(db, eps, 5, policy, w)
+                refs[policy] = engine.count_batch(
+                    db, as_trie(eps), 5, policy, w
+                )
                 assert engine.pool_active  # first sharding call spawned it
             assert engine.pools_spawned == 1  # one pool, many calls
         assert not engine.pool_active
@@ -524,6 +557,24 @@ class TestShardedRunScope:
             assert np.array_equal(
                 refs[policy], count_batch_reference(db, eps, 5, policy, w)
             ), policy
+
+    def test_one_executor_per_scope(self, workload):
+        """Every sharding call of a scope submits to the same executor,
+        and the scope's exit shuts it down."""
+        if not _pools_available():
+            pytest.skip("platform cannot spawn process pools")
+        alpha, db = workload
+        trie = as_trie(generate_level(alpha, 2))
+        engine = ShardedEngine(workers=2, min_shard_work=0)
+        with engine:
+            engine.count_batch(db, trie, 5, MatchPolicy.SUBSEQUENCE)
+            executor = engine._pool
+            engine.count_batch(db, trie, 5, MatchPolicy.RESET)
+            assert engine._pool is executor
+        assert engine.pools_spawned == 1
+        assert not engine.pool_active
+        with pytest.raises(RuntimeError, match="shutdown"):
+            executor.submit(int)
 
     def test_scope_is_reentrant_and_reusable(self, workload):
         if not _pools_available():
@@ -533,11 +584,13 @@ class TestShardedRunScope:
         engine = ShardedEngine(workers=2, min_shard_work=0)
         with engine:
             with engine:  # nested scope must not spawn a second pool
-                engine.count(db, eps, 5, MatchPolicy.SUBSEQUENCE)
+                engine.count_batch(
+                    db, as_trie(eps), 5, MatchPolicy.SUBSEQUENCE
+                )
             assert engine.pool_active  # outer scope still open
             assert engine.pools_spawned == 1
         with engine:  # a second run acquires a fresh pool
-            engine.count(db, eps, 5, MatchPolicy.SUBSEQUENCE)
+            engine.count_batch(db, as_trie(eps), 5, MatchPolicy.SUBSEQUENCE)
         assert engine.pools_spawned == 2
 
     def test_unscoped_counts_stay_correct(self, workload):
@@ -545,7 +598,7 @@ class TestShardedRunScope:
         alpha, db = workload
         eps = generate_level(alpha, 2)
         engine = ShardedEngine(workers=2, min_shard_work=0)
-        got = engine.count(db, eps, 5, MatchPolicy.SUBSEQUENCE)
+        got = engine.count_batch(db, as_trie(eps), 5, MatchPolicy.SUBSEQUENCE)
         ref = count_batch_reference(db, eps, 5, MatchPolicy.SUBSEQUENCE)
         assert np.array_equal(got, ref)
         assert not engine.pool_active
@@ -557,7 +610,9 @@ class TestShardedRunScope:
         eps = generate_level(alpha, 2)
         engine = ShardedEngine(workers=2)  # default threshold: all inline
         with engine:
-            got = engine.count(db, eps, 5, MatchPolicy.SUBSEQUENCE)
+            got = engine.count_batch(
+                db, as_trie(eps), 5, MatchPolicy.SUBSEQUENCE
+            )
         assert engine.pools_spawned == 0
         assert np.array_equal(
             got, count_batch_reference(db, eps, 5, MatchPolicy.SUBSEQUENCE)
@@ -588,9 +643,13 @@ class TestShardedRunScope:
         eps = generate_level(alpha, 2)
         engine = ShardedEngine(workers=2, min_shard_work=0)
         with engine:
-            first = engine.count(db, eps, 5, MatchPolicy.SUBSEQUENCE)
+            first = engine.count_batch(
+                db, as_trie(eps), 5, MatchPolicy.SUBSEQUENCE
+            )
             db[:] = 2  # same array object, new content
-            second = engine.count(db, eps, 5, MatchPolicy.SUBSEQUENCE)
+            second = engine.count_batch(
+                db, as_trie(eps), 5, MatchPolicy.SUBSEQUENCE
+            )
         assert np.array_equal(
             first,
             count_batch_reference(
@@ -602,6 +661,113 @@ class TestShardedRunScope:
             second,
             count_batch_reference(db, eps, 5, MatchPolicy.SUBSEQUENCE),
         )
+
+
+class TestShardTasks:
+    """The typed shard tasks and their module-level runner, exercised
+    directly: each task's piece of the count must recompose to the
+    whole, in-process or on a pool."""
+
+    @pytest.fixture()
+    def workload(self):
+        alpha = Alphabet.of_size(5)
+        db = np.random.default_rng(53).integers(0, 5, 500).astype(np.uint8)
+        return alpha, db, as_trie(generate_level(alpha, 2))
+
+    @pytest.mark.parametrize("policy,window", POLICIES)
+    def test_subtree_shards_cover_the_trie(self, workload, policy, window):
+        _, db, trie = workload
+        key = db_fingerprint(db)
+        out = np.zeros(len(trie), dtype=np.int64)
+        for rows in trie.subtree_index_groups(3):
+            task = _SubtreeShard(db, trie.matrix[rows], 5, policy, window,
+                                 "position-hop", key)
+            out[rows] = _run_shard(task)
+        ref = count_matrix_reference(db, trie.matrix, policy, window)
+        assert np.array_equal(out, ref), policy
+
+    def test_subtree_shard_unknown_engine_falls_back_to_auto(self, workload):
+        """A spawn-start child loses parent-side registrations; the
+        shard then counts on auto, which is exact."""
+        _, db, trie = workload
+        task = _SubtreeShard(db, trie.matrix, 5, MatchPolicy.SUBSEQUENCE,
+                             None, "never-registered", db_fingerprint(db))
+        ref = count_matrix_reference(db, trie.matrix, MatchPolicy.SUBSEQUENCE)
+        assert np.array_equal(_run_shard(task), ref)
+
+    def test_segment_and_boundary_shards_sum_to_reset_count(self, workload):
+        _, db, trie = workload
+        matrix = trie.matrix
+        bounds = segment_bounds(db.size, 3)
+        tasks = [_SegmentShard(db[lo:hi], matrix, 5) for lo, hi in bounds]
+        tasks += [
+            _BoundaryShard(db[start_lo:hi], matrix, 5, start_hi)
+            for _, start_lo, hi, start_hi in iter_boundary_windows(
+                bounds, int(db.size), matrix.shape[1]
+            )
+        ]
+        assert len(tasks) == 5  # three segments, two spannable boundaries
+        got = np.sum([_run_shard(t) for t in tasks], axis=0)
+        ref = count_matrix_reference(db, matrix, MatchPolicy.RESET)
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("policy,window", [
+        (MatchPolicy.SUBSEQUENCE, None),
+        (MatchPolicy.EXPIRING, 4),
+    ])
+    def test_summary_shards_compose_to_whole_count(
+        self, workload, policy, window
+    ):
+        _, db, trie = workload
+        matrix = trie.matrix
+        bounds = segment_bounds(db.size, 4)
+        summaries = [
+            _run_shard(_SummaryShard(db[lo:hi], matrix, policy, window, lo))
+            for lo, hi in bounds
+        ]
+        if policy is MatchPolicy.SUBSEQUENCE:
+            seg_counts, _ = compose_subsequence(summaries, matrix.shape[0])
+        else:
+            seg_counts = compose_expiring(db, matrix, window, bounds, summaries)
+        ref = count_matrix_reference(db, matrix, policy, window)
+        assert np.array_equal(seg_counts.sum(axis=0), ref), policy
+
+    def test_raise_fault_propagates_and_leaves_task_clean(self, workload):
+        """The fault travels beside the task, never inside it: the same
+        task recounted without one is exact."""
+        _, db, trie = workload
+        task = _SegmentShard(db, trie.matrix, 5)
+        with pytest.raises(RuntimeError, match="injected mapper fault"):
+            _run_shard(task, ShardFault("raise"))
+        ref = count_matrix_reference(db, trie.matrix, MatchPolicy.RESET)
+        assert np.array_equal(_run_shard(task), ref)
+
+    def test_pooled_shards_match_inline(self, workload):
+        if not _pools_available():
+            pytest.skip("platform cannot spawn process pools")
+        _, db, trie = workload
+        bounds = segment_bounds(db.size, 2)
+        tasks = [_SegmentShard(db[lo:hi], trie.matrix, 5) for lo, hi in bounds]
+        pool = spawn_probed_pool(2)
+        try:
+            pooled = [f.result() for f in
+                      [pool.submit(_run_shard, t) for t in tasks]]
+        finally:
+            pool.shutdown()
+        for got, task in zip(pooled, tasks):
+            assert np.array_equal(got, _run_shard(task))
+
+    def test_single_worker_scope_spawns_no_pool(self, workload):
+        """workers=1 has nothing to spread work over: even with sharding
+        forced, the scope stays pool-free and counts inline."""
+        _, db, trie = workload
+        engine = ShardedEngine(workers=1, min_shard_work=0)
+        with engine:
+            got = engine.count_batch(db, trie, 5, MatchPolicy.SUBSEQUENCE)
+            assert not engine.pool_active
+        assert engine.pools_spawned == 0
+        ref = count_matrix_reference(db, trie.matrix, MatchPolicy.SUBSEQUENCE)
+        assert np.array_equal(got, ref)
 
 
 class TestMapperExceptionPropagation:
@@ -617,14 +783,14 @@ class TestMapperExceptionPropagation:
         class WorkerOnlyExploder(CountingEngine):
             name = "test-worker-exploder"
 
-            def count(self, db, episodes, alphabet_size,
-                      policy=MatchPolicy.RESET, window=None, index=None):
+            def count_batch(self, db, batch, alphabet_size,
+                            policy=MatchPolicy.RESET, window=None, index=None):
                 if multiprocessing.parent_process() is not None:
                     # only inside a pool worker: the old blanket except
                     # would swallow this and quietly re-run serially
                     raise RuntimeError("mapper bug")
-                return get_engine("auto").count(
-                    db, episodes, alphabet_size, policy, window, index=index
+                return get_engine("auto").count_batch(
+                    db, batch, alphabet_size, policy, window, index=index
                 )
 
         if not _pools_available():
@@ -638,7 +804,9 @@ class TestMapperExceptionPropagation:
             db = np.random.default_rng(51).integers(0, 5, 300).astype(np.uint8)
             eps = generate_level(Alphabet.of_size(5), 2)
             with pytest.raises(RuntimeError, match="mapper bug"):
-                engine.count(db, eps, 5, MatchPolicy.SUBSEQUENCE)
+                engine.count_batch(
+                    db, as_trie(eps), 5, MatchPolicy.SUBSEQUENCE
+                )
         finally:
             REGISTRY.unregister("test-worker-exploder")
 
@@ -712,8 +880,8 @@ class TestGpuSimEngine:
         try:
             alpha, db = workload
             eps = generate_level(alpha, 2)
-            a = get_engine("gpu-sim-8800").count(db, eps, 6)
-            b = get_engine("gpu-sim").count(db, eps, 6)
+            a = get_engine("gpu-sim-8800").count_batch(db, as_trie(eps), 6)
+            b = get_engine("gpu-sim").count_batch(db, as_trie(eps), 6)
             assert np.array_equal(a, b)  # cards differ in time, never counts
         finally:
             REGISTRY.unregister("gpu-sim-8800")
@@ -740,44 +908,54 @@ class TestGpuSimEngine:
         engine = GpuSimEngine()
         db = np.array([0, 1, 300], dtype=np.int64)
         with pytest.raises(ValidationError, match="refusing to truncate"):
-            engine.count(db, [Episode((0, 1))], alphabet_size=256)
+            engine.count_batch(
+                db, as_trie([Episode((0, 1))]), alphabet_size=256
+            )
 
     def test_out_of_alphabet_codes_rejected(self, workload):
         engine = GpuSimEngine()
         db = np.array([0, 1, 9], dtype=np.uint8)
         with pytest.raises(ValidationError, match="outside the alphabet"):
-            engine.count(db, [Episode((0, 1))], alphabet_size=4)
+            engine.count_batch(db, as_trie([Episode((0, 1))]), alphabet_size=4)
 
     def test_episode_codes_beyond_alphabet_rejected(self):
-        """Regression: episode codes >= 256 must raise before the uint8
-        matrix coercion can overflow or wrap them."""
-        engine = GpuSimEngine()
+        """Regression: episode codes >= 256 must raise ValidationError,
+        never overflow (numpy OverflowError) or wrap modulo 256 in the
+        uint8 matrix form."""
         db = np.zeros(10, dtype=np.uint8)
         with pytest.raises(ValidationError, match="episode code 300"):
-            engine.count(db, [Episode((0, 300))], alphabet_size=256)
+            get_engine("gpu-sim").count_batch(
+                db, CandidateTrie.from_episodes([Episode((0, 300))]), 256
+            )
         with pytest.raises(ValidationError, match="episode code 300"):
-            engine.count(
-                db, np.array([[0, 300]], dtype=np.int64), alphabet_size=256
+            GpuSimEngine().count_batch(
+                db, as_trie(np.array([[0, 300]], dtype=np.int64)),
+                alphabet_size=256,
             )
 
     def test_oversized_alphabet_rejected(self, workload):
         alpha, db = workload
         engine = GpuSimEngine()
         with pytest.raises(ValidationError, match="256"):
-            engine.count(db, [Episode((0, 1))], alphabet_size=1000)
+            engine.count_batch(
+                db, as_trie([Episode((0, 1))]), alphabet_size=1000
+            )
 
     def test_float_database_rejected(self, workload):
         engine = GpuSimEngine()
         with pytest.raises(ValidationError, match="integer-coded"):
-            engine.count(
-                np.array([0.5, 1.0]), [Episode((0, 1))], alphabet_size=4
+            engine.count_batch(
+                np.array([0.5, 1.0]), as_trie([Episode((0, 1))]),
+                alphabet_size=4,
             )
 
     def test_fixed_algorithm_mode(self, workload):
         alpha, db = workload
         eps = generate_level(alpha, 2)
         fixed = GpuSimEngine(algorithm=1, threads_per_block=64)
-        got = fixed.count(db, eps, alpha.size, MatchPolicy.SUBSEQUENCE)
+        got = fixed.count_batch(
+            db, as_trie(eps), alpha.size, MatchPolicy.SUBSEQUENCE
+        )
         ref = count_batch_reference(db, eps, alpha.size, MatchPolicy.SUBSEQUENCE)
         assert np.array_equal(got, ref)
         assert fixed.selector is None
@@ -788,10 +966,31 @@ class TestGpuSimEngine:
         with pytest.raises(ConfigError):
             GpuSimEngine(threads_per_block=0)
 
+    @pytest.mark.parametrize("algorithm", [1, 2, 3, 4])
+    def test_kernels_count_the_engine_trie_without_rebuilding(
+        self, workload, monkeypatch, algorithm
+    ):
+        """The engine's trie reaches the kernels as given: no launch
+        rebuilds it from its matrix, and RESET segments (algorithms 3
+        and 4) count on the n-gram table without any trie."""
+        alpha, db = workload
+        trie = as_trie(generate_level(alpha, 2))
+        ref = count_batch_reference(db, list(trie), alpha.size)
+
+        def no_rebuild(*args, **kwargs):
+            raise AssertionError("batch rebuilt as a trie")
+
+        monkeypatch.setattr(CandidateTrie, "from_matrix", no_rebuild)
+        monkeypatch.setattr(CandidateTrie, "from_episodes", no_rebuild)
+        engine = GpuSimEngine(algorithm=algorithm, threads_per_block=64)
+        assert np.array_equal(engine.count_batch(db, trie, alpha.size), ref)
+
     def test_empty_batch_returns_empty(self, workload):
         alpha, db = workload
         engine = GpuSimEngine()
-        out = engine.count(db, np.zeros((0, 2), dtype=np.uint8), alpha.size)
+        out = engine.count_batch(
+            db, as_trie(np.zeros((0, 2), dtype=np.uint8)), alpha.size
+        )
         assert out.shape == (0,)
 
 

@@ -87,3 +87,9 @@ class TestMatrix:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             episodes_to_matrix([])
+
+    def test_codes_beyond_uint8_rejected(self):
+        """Regression: numpy's OverflowError leaked out of the uint8
+        matrix form instead of a ValidationError."""
+        with pytest.raises(ValidationError, match="episode code 300"):
+            episodes_to_matrix([Episode((0, 1)), Episode((0, 300))])

@@ -16,6 +16,7 @@ from repro.mining.alphabet import Alphabet
 from repro.mining.engines import ShardedEngine
 from repro.mining.miner import FrequentEpisodeMiner
 from repro.mining.policies import MatchPolicy
+from repro.mining.trie import CandidateTrie
 from repro.obs.recorder import (
     NULL_RECORDER,
     NullRecorder,
@@ -30,9 +31,10 @@ from repro.streaming import StreamingMiner
 
 ALPHA = Alphabet.of_size(6)
 
-MATRIX = np.array(
+#: six root subtrees: three subtree shards on three workers
+TRIE = CandidateTrie.from_matrix(np.array(
     [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]], dtype=np.uint8
-)
+))
 
 
 @pytest.fixture(autouse=True)
@@ -212,7 +214,9 @@ class TestMinerTelemetry:
         db = make_db(seed=27)
         with faults.inject(FaultPlan(shard_faults={1: ShardFault("crash")})):
             with engine:
-                engine.count(db, MATRIX, ALPHA.size, MatchPolicy.SUBSEQUENCE)
+                engine.count_batch(
+                    db, TRIE, ALPHA.size, MatchPolicy.SUBSEQUENCE
+                )
         assert rec.balanced
         dispatches = [s for s in rec.walk() if s.name == "shard-dispatch"]
         assert dispatches
@@ -235,8 +239,8 @@ class TestMinerTelemetry:
         with faults.inject(FaultPlan(shard_faults={0: ShardFault("raise")})):
             with engine:
                 with pytest.raises(RuntimeError, match="injected mapper fault"):
-                    engine.count(
-                        db, MATRIX, ALPHA.size, MatchPolicy.SUBSEQUENCE
+                    engine.count_batch(
+                        db, TRIE, ALPHA.size, MatchPolicy.SUBSEQUENCE
                     )
         assert rec.balanced
         assert any(s.error for s in rec.walk() if s.name == "shard-dispatch")

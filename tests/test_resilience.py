@@ -23,6 +23,7 @@ from repro.mining.alphabet import Alphabet
 from repro.mining.engines import ShardedEngine, get_engine
 from repro.mining.miner import FrequentEpisodeMiner
 from repro.mining.policies import MatchPolicy
+from repro.mining.trie import CandidateTrie
 from repro.resilience import faults
 from repro.resilience.atomic import atomic_open, atomic_write_text
 from repro.resilience.faults import FaultPlan, ShardFault
@@ -32,11 +33,13 @@ from repro.streaming.sources import FileStreamSource
 
 ALPHA = Alphabet.of_size(6)
 
-#: six length-2 episodes — enough to fill three workers on the episode
+#: six length-2 episodes with six distinct first symbols — six root
+#: subtrees, so three workers get three subtree shards on the episode
 #: axis (n_eps >= workers keeps axis="auto" on the episode split)
 MATRIX = np.array(
     [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]], dtype=np.uint8
 )
+TRIE = CandidateTrie.from_matrix(MATRIX)
 
 POLICIES = [
     (MatchPolicy.RESET, None),
@@ -68,8 +71,8 @@ def fresh_engine(**kw) -> ShardedEngine:
 
 
 def oracle(db, policy, window=None) -> np.ndarray:
-    return get_engine("scalar-oracle").count(
-        db, MATRIX, ALPHA.size, policy, window
+    return get_engine("scalar-oracle").count_batch(
+        db, TRIE, ALPHA.size, policy, window
     )
 
 
@@ -86,7 +89,7 @@ class TestSupervisedShards:
         expected = oracle(db, MatchPolicy.SUBSEQUENCE)
         with faults.inject(FaultPlan(shard_faults={1: ShardFault("crash")})) as plan:
             with engine:
-                got = engine.count(db, MATRIX, ALPHA.size,
+                got = engine.count_batch(db, TRIE, ALPHA.size,
                                    MatchPolicy.SUBSEQUENCE)
         np.testing.assert_array_equal(got, expected)
         assert plan.fired == [("crash", 1)]
@@ -99,7 +102,9 @@ class TestSupervisedShards:
         expected = oracle(db, MatchPolicy.RESET)
         with faults.inject(FaultPlan(shard_faults={2: ShardFault("crash")})):
             with engine:
-                got = engine.count(db, MATRIX, ALPHA.size, MatchPolicy.RESET)
+                got = engine.count_batch(
+                    db, TRIE, ALPHA.size, MatchPolicy.RESET
+                )
         np.testing.assert_array_equal(got, expected)
         assert "pool-respawn" in kinds(engine.events)
 
@@ -109,7 +114,7 @@ class TestSupervisedShards:
         expected = oracle(db, MatchPolicy.EXPIRING, window=4)
         with faults.inject(FaultPlan(shard_faults={1: ShardFault("crash")})):
             with engine:
-                got = engine.count(db, MATRIX, ALPHA.size,
+                got = engine.count_batch(db, TRIE, ALPHA.size,
                                    MatchPolicy.EXPIRING, window=4)
         np.testing.assert_array_equal(got, expected)
         assert "pool-respawn" in kinds(engine.events)
@@ -119,7 +124,7 @@ class TestSupervisedShards:
         engine = fresh_engine()
         with faults.inject(FaultPlan(shard_faults={0: ShardFault("crash")})) as plan:
             with engine:
-                got = engine.count(db, MATRIX, ALPHA.size,
+                got = engine.count_batch(db, TRIE, ALPHA.size,
                                    MatchPolicy.SUBSEQUENCE)
         np.testing.assert_array_equal(got, oracle(db, MatchPolicy.SUBSEQUENCE))
         # episode axis with 3 workers = 3 first-wave submissions; the
@@ -135,7 +140,7 @@ class TestSupervisedShards:
             FaultPlan(shard_faults={1: ShardFault("hang", hang_s=3.0)})
         ):
             with engine:
-                got = engine.count(db, MATRIX, ALPHA.size,
+                got = engine.count_batch(db, TRIE, ALPHA.size,
                                    MatchPolicy.SUBSEQUENCE)
         np.testing.assert_array_equal(got, oracle(db, MatchPolicy.SUBSEQUENCE))
         (reclaim,) = [e for e in engine.events if e.kind == "shard-reclaimed"]
@@ -148,11 +153,11 @@ class TestSupervisedShards:
         engine = fresh_engine()
         with faults.inject(FaultPlan(pool_spawn_failures=1)) as plan:
             with engine:
-                got = engine.count(db, MATRIX, ALPHA.size,
+                got = engine.count_batch(db, TRIE, ALPHA.size,
                                    MatchPolicy.SUBSEQUENCE)
                 # the scope is pinned to the single-process chain now;
                 # later calls stay exact without retrying the spawn
-                again = engine.count(db, MATRIX, ALPHA.size,
+                again = engine.count_batch(db, TRIE, ALPHA.size,
                                      MatchPolicy.RESET)
         np.testing.assert_array_equal(got, oracle(db, MatchPolicy.SUBSEQUENCE))
         np.testing.assert_array_equal(again, oracle(db, MatchPolicy.RESET))
@@ -165,7 +170,7 @@ class TestSupervisedShards:
         crash = {k: ShardFault("crash") for k in (0, 3, 4, 5)}
         with faults.inject(FaultPlan(shard_faults=crash)):
             with engine:
-                got = engine.count(db, MATRIX, ALPHA.size,
+                got = engine.count_batch(db, TRIE, ALPHA.size,
                                    MatchPolicy.SUBSEQUENCE)
         np.testing.assert_array_equal(got, oracle(db, MatchPolicy.SUBSEQUENCE))
         ks = kinds(engine.events)
@@ -179,7 +184,7 @@ class TestSupervisedShards:
         with faults.inject(FaultPlan(shard_faults={0: ShardFault("raise")})):
             with engine:
                 with pytest.raises(RuntimeError, match="injected mapper fault"):
-                    engine.count(db, MATRIX, ALPHA.size,
+                    engine.count_batch(db, TRIE, ALPHA.size,
                                  MatchPolicy.SUBSEQUENCE)
         # a mapper bug is not infrastructure failure: nothing respawned
         assert "pool-respawn" not in kinds(engine.events)
@@ -188,7 +193,9 @@ class TestSupervisedShards:
         db = make_db(seed=37)
         engine = fresh_engine()
         with faults.inject(FaultPlan(shard_faults={1: ShardFault("crash")})):
-            got = engine.count(db, MATRIX, ALPHA.size, MatchPolicy.SUBSEQUENCE)
+            got = engine.count_batch(
+                db, TRIE, ALPHA.size, MatchPolicy.SUBSEQUENCE
+            )
         np.testing.assert_array_equal(got, oracle(db, MatchPolicy.SUBSEQUENCE))
         assert "pool-respawn" in kinds(engine.events)
 
@@ -197,7 +204,9 @@ class TestSupervisedShards:
         engine = fresh_engine()
         with faults.inject(FaultPlan(shard_faults={0: ShardFault("crash")})):
             with engine:
-                engine.count(db, MATRIX, ALPHA.size, MatchPolicy.SUBSEQUENCE)
+                engine.count_batch(
+                    db, TRIE, ALPHA.size, MatchPolicy.SUBSEQUENCE
+                )
         assert engine.events
         with engine:
             pass

@@ -92,6 +92,22 @@ class TestExactness:
         seg = count_segmented(small_db, eps, 26, n_segments=128)
         assert np.array_equal(seg.totals, exact)
 
+    def test_reset_segments_count_without_tries(self, small_db, monkeypatch):
+        """RESET segments read the n-gram table directly: a launch with
+        thousands of segments never converts the batch per segment."""
+        from repro.mining.trie import CandidateTrie
+
+        eps = generate_level(UPPERCASE, 2)[:40]
+        exact = count_batch(small_db, eps, 26)
+
+        def no_trie(*args, **kwargs):
+            raise AssertionError("segment batch rebuilt as a trie")
+
+        monkeypatch.setattr(CandidateTrie, "from_matrix", no_trie)
+        monkeypatch.setattr(CandidateTrie, "from_episodes", no_trie)
+        seg = count_segmented(small_db, eps, 26, n_segments=256)
+        assert np.array_equal(seg.totals, exact)
+
     def test_single_segment_no_boundaries(self, small_db):
         eps = generate_level(UPPERCASE, 2)[:5]
         seg = count_segmented(small_db, eps, 26, n_segments=1)
