@@ -431,6 +431,10 @@ STREAM_CHUNK_EVENTS = 4000
 STREAM_THRESHOLD = 0.02
 STREAM_MAX_LEVEL = 3
 STREAM_DRIFT = 0.2
+#: incremental/recount pairs continue past ``repeats`` until this much
+#: was timed, so a fast policy (a small RESET feed runs in about 5 ms)
+#: still gets enough pairs for a steady median ratio
+STREAM_MIN_TIMED_S = 0.5
 
 
 def run_streaming_throughput(
@@ -451,11 +455,18 @@ def run_streaming_throughput(
     frequent sets/counts; ``check_regression.check_streaming`` gates
     the checksums hard, requires incremental >= 1.0x recount on every
     policy (hard), and compares throughput against the committed
-    trajectory.  ``repeats`` > 1 takes the best of N timings per mode
-    (the feed replays identically), which the scaled-down tier-1 smoke
-    uses to keep its hard speedup floor off the noise floor.
+    trajectory.  The two modes are timed in ``repeats`` pairs (more
+    while less than ``STREAM_MIN_TIMED_S`` was timed), each pair in
+    the opposite order to the last (incremental then recount, recount
+    then incremental, ...; the feed replays identically).  ``seconds``
+    is each mode's best time, and ``speedup_vs_recount`` is the median
+    of the per-pair ratios: a slow moment of the host then taxes one
+    pair of the median, not whichever mode happened to be running, and
+    a drift in host speed favours neither mode, which keeps the tier-1
+    smoke's hard speedup floor off the noise floor.
     """
     import gc
+    import statistics
     import time
 
     from repro.mining.alphabet import Alphabet
@@ -472,47 +483,60 @@ def run_streaming_throughput(
     # inside one timed section (but not the other) flips the verdict;
     # collect up front and keep the collector out of the timings
     gc_was_enabled = gc.isenabled()
+
+    def timed(fn):
+        gc.collect()
+        gc.disable()
+        try:
+            t0 = time.perf_counter()
+            out = fn()
+            return time.perf_counter() - t0, out
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
     for policy_value, window in POLICIES:
         policy = MatchPolicy(policy_value)
         source = SyntheticStreamSource(
             n_chunks, chunk_events, alphabet=alphabet, seed=seed, drift=drift
         )
 
-        inc_s = float("inf")
-        for _ in range(max(1, int(repeats))):
-            gc.collect()
-            gc.disable()
-            try:
-                t0 = time.perf_counter()
-                miner = StreamingMiner(
-                    alphabet, threshold=threshold, policy=policy,
-                    window=window, engine="auto", max_level=max_level,
-                )
-                miner.consume(source)
-                inc_s = min(inc_s, time.perf_counter() - t0)
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
-        inc_result = miner.result()
+        def incremental():
+            miner = StreamingMiner(
+                alphabet, threshold=threshold, policy=policy,
+                window=window, engine="auto", max_level=max_level,
+            )
+            miner.consume(source)
+            return miner
 
-        rec_s = float("inf")
-        for _ in range(max(1, int(repeats))):
-            gc.collect()
-            gc.disable()
-            try:
-                t0 = time.perf_counter()
-                parts: "list[np.ndarray]" = []
-                batch = FrequentEpisodeMiner(
-                    alphabet, threshold=threshold, policy=policy,
-                    window=window, engine="auto", max_level=max_level,
-                )
-                for chunk in source.chunks():
-                    parts.append(chunk)
-                    rec_result = batch.mine(np.concatenate(parts))
-                rec_s = min(rec_s, time.perf_counter() - t0)
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
+        def recount():
+            parts: "list[np.ndarray]" = []
+            batch = FrequentEpisodeMiner(
+                alphabet, threshold=threshold, policy=policy,
+                window=window, engine="auto", max_level=max_level,
+            )
+            for chunk in source.chunks():
+                parts.append(chunk)
+                result = batch.mine(np.concatenate(parts))
+            return result
+
+        inc_times: "list[float]" = []
+        rec_times: "list[float]" = []
+        pair = 0
+        while pair < max(1, int(repeats)) or (
+            sum(inc_times) + sum(rec_times) < STREAM_MIN_TIMED_S
+        ):
+            if pair % 2:
+                seconds, rec_result = timed(recount)
+                rec_times.append(seconds)
+            seconds, miner = timed(incremental)
+            inc_times.append(seconds)
+            if not pair % 2:
+                seconds, rec_result = timed(recount)
+                rec_times.append(seconds)
+            pair += 1
+        inc_result = miner.result()
+        inc_s, rec_s = min(inc_times), min(rec_times)
 
         total = miner.total_events
         for mode, seconds, result in (
@@ -538,7 +562,9 @@ def run_streaming_throughput(
             }
             if mode == "incremental":
                 row["speedup_vs_recount"] = (
-                    round(rec_s / inc_s, 2) if inc_s > 0 else None
+                    round(statistics.median(
+                        r / i for i, r in zip(inc_times, rec_times)
+                    ), 2) if inc_s > 0 else None
                 )
             rows.append(row)
             print(
@@ -590,9 +616,15 @@ def run_telemetry_overhead(
     attrs — so the measured deltas bound the real per-run cost.  Counts
     must be identical across all three modes (telemetry must never
     perturb counting) and ``check_regression.check_telemetry`` gates
-    the overhead columns hard: null <= 1%, recording <= 5%.
+    the overhead columns hard: null <= 1%, recording <= 5%.  Each
+    round runs the modes forward and then backward (baseline, null,
+    recording, recording, null, baseline), so a drift in host speed
+    within the round cancels; each overhead column is the median over
+    rounds of the round's delta to the baseline, and ``seconds`` is
+    each mode's best single time.
     """
     import gc
+    import statistics
 
     from repro.mining.alphabet import UPPERCASE
     from repro.mining.candidates import generate_level
@@ -655,48 +687,44 @@ def run_telemetry_overhead(
         loop_plain()  # untimed warm-up: caches, lazy imports, numpy
         # one-time setup — the baseline must not eat the cold-start
         # cost the instrumented loops then amortize
-        # interleave the modes round-robin, best-of over a *fixed*
-        # repeat count: a frequency ramp or background stall then
-        # taxes every mode equally instead of whichever happened to
-        # run during it (sequential best-of-N with an accumulated-
-        # time early exit gave the slow moment to one mode only)
-        best = {"baseline": float("inf"), "null": float("inf"),
-                "recording": float("inf")}
+        # a fixed number of mirrored rounds: a frequency ramp inside a
+        # round taxes every mode equally, and a background stall taxes
+        # one round of the median instead of whichever mode happened
+        # to run during it
         timed = (
             ("baseline", loop_plain),
             ("null", make_instrumented(NULL_RECORDER)),
             ("recording", recording),
         )
+        best = {mode: float("inf") for mode, _ in timed}
+        rounds: "list[dict[str, float]]" = []
         for _ in range(max(repeats, 1)):
-            for mode, fn in timed:
+            spent = {mode: 0.0 for mode, _ in timed}
+            for mode, fn in timed + timed[::-1]:
                 t0 = time.perf_counter()
                 fn()
-                best[mode] = min(best[mode], time.perf_counter() - t0)
-        base_s, null_s, rec_s = (
-            best["baseline"], best["null"], best["recording"]
-        )
+                seconds = time.perf_counter() - t0
+                spent[mode] += seconds
+                best[mode] = min(best[mode], seconds)
+            rounds.append(spent)
     finally:
         if gc_was_enabled:
             gc.enable()
 
-    def overhead_pct(seconds: float) -> float:
-        return round((seconds - base_s) / base_s * 100.0, 2) if base_s else 0.0
-
-    rows = [
-        {"mode": "baseline", "seconds": round(base_s, 6)},
-        {
-            "mode": "null",
-            "seconds": round(null_s, 6),
-            "overhead_s": round(null_s - base_s, 6),
-            "overhead_pct": overhead_pct(null_s),
-        },
-        {
-            "mode": "recording",
-            "seconds": round(rec_s, 6),
-            "overhead_s": round(rec_s - base_s, 6),
-            "overhead_pct": overhead_pct(rec_s),
-        },
+    rows: "list[dict]" = [
+        {"mode": "baseline", "seconds": round(best["baseline"], 6)}
     ]
+    for mode in ("null", "recording"):
+        # each round ran every mode twice: halve to per-call seconds
+        deltas = [(r[mode] - r["baseline"]) / 2 for r in rounds]
+        rows.append({
+            "mode": mode,
+            "seconds": round(best[mode], 6),
+            "overhead_s": round(statistics.median(deltas), 6),
+            "overhead_pct": round(statistics.median(
+                (r[mode] / r["baseline"] - 1.0) * 100.0 for r in rounds
+            ), 2),
+        })
     for row in rows:
         extra = (
             f" ({row['overhead_pct']:+.2f}% vs baseline)"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -51,7 +51,7 @@ class LevelResult:
 
 def eliminate_level(
     level: int,
-    candidates: list[Episode],
+    candidates: "Sequence[Episode]",
     counts: np.ndarray,
     n: int,
     threshold: float,
@@ -259,7 +259,7 @@ class FrequentEpisodeMiner:
         try:
             with rec.span("mine", events=int(n), threshold=self.threshold):
                 with self._engine_scope():
-                    while candidates and level <= self.max_level:
+                    while candidates:
                         with rec.span(
                             "level", level=level, candidates=len(candidates)
                         ) as sp:
@@ -295,7 +295,7 @@ class FrequentEpisodeMiner:
                                     sp.attrs.update(
                                         cache_hits=d_hits, cache_misses=d_miss
                                     )
-                            if not frequent:
+                            if not frequent or level == self.max_level:
                                 break
                             level += 1
                             if self.exhaustive_candidates:

@@ -56,7 +56,7 @@ from repro.mining.engines import (
     CountingEngine,
     get_engine,
 )
-from repro.mining.episode import Episode, episodes_to_matrix
+from repro.mining.episode import Episode
 from repro.mining.miner import (
     LevelResult,
     MiningResult,
@@ -267,7 +267,7 @@ class StreamingMiner:
         #: per-level memo of (frequent-set key, generated candidates):
         #: A-priori generation is deterministic in the frequent set, so
         #: steady-state chunks reuse it instead of regenerating
-        self._cand_cache: "dict[int, tuple[tuple, tuple[Episode, ...]]]" = {}
+        self._cand_cache: "dict[int, tuple[tuple, CandidateTrie]]" = {}
         self._total = 0
         self._chunk_index = 0
         self._levels: "tuple[LevelResult, ...]" = ()
@@ -594,7 +594,7 @@ class StreamingMiner:
 
     def _next_candidates(
         self, level: int, frequent: "tuple[Episode, ...]"
-    ) -> "list[Episode]":
+    ) -> CandidateTrie:
         """Level-``level`` candidates given the frequent set one level
         down, memoized per level.
 
@@ -606,20 +606,24 @@ class StreamingMiner:
         per-chunk interpreter work of the A-priori loop proportional to
         *changes* in the frequent sets, which is what lets the
         incremental path beat the naive recount even on tiny feeds.
+        The trie is handed on as is, so retracking reuses its matrix
+        and node structure instead of rebuilding them.
         """
         static = level == 1 or self.exhaustive_candidates
         key = ("static",) if static else tuple(frequent)
         cached = self._cand_cache.get(level)
         if cached is not None and cached[0] == key:
-            return list(cached[1])
+            return cached[1]
         if static:
-            candidates = generate_level(self.alphabet, level)
+            candidates = CandidateTrie.from_episodes(
+                generate_level(self.alphabet, level)
+            )
         else:
             candidates = generate_next_level(
                 frequent, self.alphabet, contiguous=self.policy.is_contiguous
             )
-        self._cand_cache[level] = (key, tuple(candidates))
-        return list(candidates)
+        self._cand_cache[level] = (key, candidates)
+        return candidates
 
     def _retained(self) -> np.ndarray:
         """The events a checkpoint must carry: the retained landmark
@@ -665,7 +669,7 @@ class StreamingMiner:
         used_levels: "set[int]" = set()
         candidates = self._next_candidates(1, ())
         level = 1
-        while candidates and level <= self.max_level:
+        while candidates:
             pro, dem = self._store.retrack(
                 level, candidates, self._buf.view,
                 history_start=history_start,
@@ -685,7 +689,7 @@ class StreamingMiner:
                 level, candidates, counts, n, self.threshold
             )
             levels.append(result)
-            if not frequent:
+            if not frequent or level == self.max_level:
                 break
             level += 1
             candidates = self._next_candidates(level, frequent)
@@ -758,20 +762,20 @@ class StreamingMiner:
         levels: "list[LevelResult]" = []
         candidates = self._next_candidates(1, ())
         level = 1
-        while candidates and level <= self.max_level:
+        while candidates:
             counts = self._windowed_counts(level, candidates)
             result, frequent = eliminate_level(
                 level, candidates, counts, n, self.threshold
             )
             levels.append(result)
-            if not frequent:
+            if not frequent or level == self.max_level:
                 break
             level += 1
             candidates = self._next_candidates(level, frequent)
         self._levels = tuple(levels)
 
     def _windowed_counts(
-        self, level: int, episodes: "list[Episode]"
+        self, level: int, candidates: CandidateTrie
     ) -> np.ndarray:
         """Exact counts of ``episodes`` over the trailing window.
 
@@ -784,8 +788,8 @@ class StreamingMiner:
         clock; counts only depend on index differences, so they equal
         the batch count of the window buffer).
         """
-        episodes = tuple(episodes)
-        matrix = episodes_to_matrix(list(episodes))
+        episodes = tuple(candidates)
+        matrix = candidates.matrix
         cache = self._win_cache.get(level)
         if cache is None or cache["episodes"] != episodes:
             cache = {"episodes": episodes, "summaries": {}}

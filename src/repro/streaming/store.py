@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.mining.counting import _NEG, DatabaseIndex
-from repro.mining.episode import Episode, episodes_to_matrix
+from repro.mining.episode import Episode
 from repro.mining.policies import MatchPolicy, validate_window
 from repro.mining.spanning import count_starts_in
 from repro.mining.trie import CandidateTrie, resume_positions_trie
@@ -65,24 +65,25 @@ class TrackedLevel:
     and ``exp_times`` (EXPIRING, shape ``(E, L+1)``, absolute indices)
     hold the FSM summaries the next chunk resumes from; RESET carries
     nothing per-episode (the store's tail buffer covers the seam).
-    ``trie`` is the level's candidate trie, built once at
-    retrack/restore so every chunk advance shares prefix hop chains.
+    ``trie`` is the level's candidate trie, fixed at retrack/restore
+    so every chunk advance shares prefix hop chains; ``matrix`` is its
+    flat form.
     """
 
     def __init__(
         self,
         episodes: "tuple[Episode, ...]",
-        matrix: np.ndarray,
+        trie: CandidateTrie,
         counts: np.ndarray,
         sub_states: "np.ndarray | None" = None,
         exp_times: "np.ndarray | None" = None,
     ) -> None:
         self.episodes = episodes
-        self.matrix = matrix
+        self.trie = trie
+        self.matrix = trie.matrix
         self.counts = counts
         self.sub_states = sub_states
         self.exp_times = exp_times
-        self.trie = CandidateTrie.from_matrix(matrix)
 
     @property
     def length(self) -> int:
@@ -218,11 +219,14 @@ class EpisodeStateStore:
     def retrack(
         self,
         level: int,
-        episodes: "list[Episode] | tuple[Episode, ...]",
+        episodes: "CandidateTrie | list[Episode] | tuple[Episode, ...]",
         history: np.ndarray,
         history_start: int = 0,
     ) -> "tuple[tuple[Episode, ...], tuple[Episode, ...]]":
         """Make ``level`` track exactly ``episodes`` (in that order).
+
+        A :class:`~repro.mining.trie.CandidateTrie` is kept as the
+        level's trie; an episode list is built into one.
 
         Episodes already tracked keep their carried count and state;
         new ones are backfilled over ``history`` — the retained prefix
@@ -241,6 +245,7 @@ class EpisodeStateStore:
         with ``t0 = history_start`` so carried timestamps stay on the
         absolute clock).  Returns ``(promoted, demoted)``.
         """
+        trie = episodes if isinstance(episodes, CandidateTrie) else None
         episodes = tuple(episodes)
         if not episodes:
             demoted = self.untrack(level)
@@ -251,7 +256,9 @@ class EpisodeStateStore:
         old_index = (
             {ep: i for i, ep in enumerate(old.episodes)} if old else {}
         )
-        matrix = episodes_to_matrix(list(episodes))
+        if trie is None:
+            trie = CandidateTrie.from_episodes(episodes)
+        matrix = trie.matrix
         if matrix.shape[1] > self.max_length:
             raise ValidationError(
                 f"episode length {matrix.shape[1]} exceeds the store's "
@@ -296,7 +303,7 @@ class EpisodeStateStore:
             if exp_times is not None:
                 exp_times[new_rows] = b_state
         self.levels[level] = TrackedLevel(
-            episodes, matrix, counts, sub_states, exp_times
+            episodes, trie, counts, sub_states, exp_times
         )
         promoted = tuple(episodes[j] for j in new_rows)
         new_set = set(episodes)
@@ -361,13 +368,12 @@ class EpisodeStateStore:
                 Episode(tuple(int(i) for i in items))
                 for items in entry["episodes"]
             )
-            matrix = episodes_to_matrix(list(episodes))
             counts = np.array(arrays[f"lvl{k}_counts"], dtype=np.int64)
             sub = arrays.get(f"lvl{k}_sub")
             exp = arrays.get(f"lvl{k}_exp")
             levels[k] = TrackedLevel(
                 episodes,
-                matrix,
+                CandidateTrie.from_episodes(episodes),
                 counts,
                 None if sub is None else np.array(sub, dtype=np.int64),
                 None if exp is None else np.array(exp, dtype=np.int64),

@@ -39,18 +39,20 @@ def test_engine_throughput_no_regression():
         # gated hard below; the smaller total_events never matches
         # reference cells, so the cross-machine throughput comparison
         # stays out of tier-1
-        # best-of-2 timings per mode keep the hard incremental>=recount
-        # floor off the noise floor (a GC pause or scheduler stall in
-        # one 5 ms RESET run must not read as a pessimization)
-        streaming=dict(n_chunks=6, chunk_events=2000, repeats=2),
+        # five alternating incremental/recount pairs, gated on the
+        # median pair ratio, keep the hard incremental>=recount floor
+        # off the noise floor (a GC pause or scheduler stall in one
+        # 5 ms RESET run must not read as a pessimization)
+        streaming=dict(n_chunks=6, chunk_events=2000, repeats=5),
         # a scaled-down trie grid (N=12 -> 1,320 level-3 candidates):
         # the trie-vs-sweep checksum equality is machine-independent
         # and gated hard below
         trie_batch=dict(n=8_000, alphabet_size=12),
         # a scaled-down telemetry workload: the overhead ceilings are
         # relative and within-process, so they gate hard at any size
-        # (the absolute-jitter slack in check_telemetry absorbs noise)
-        telemetry=dict(n=20_000, n_episodes=200, repeats=3),
+        # (the absolute-jitter slack in check_telemetry absorbs noise;
+        # five interleaved rounds give the per-round median its spread)
+        telemetry=dict(n=20_000, n_episodes=200, repeats=5),
     )
     problems = check_regression.compare(reference, fresh)
     problems += check_regression.check_invariants(fresh, min_speedup=2.0)

@@ -1,5 +1,8 @@
 """Tests for candidate generation (paper Table 1 and Algorithm 1 line 8)."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +15,7 @@ from repro.mining.candidates import (
     generate_next_level,
     level_sizes_table,
 )
-from repro.mining.episode import Episode
+from repro.mining.episode import Episode, episodes_to_matrix
 
 
 class TestTable1:
@@ -141,3 +144,111 @@ class TestPropertyBased:
         freq_set = {e.items for e in freq}
         for cand in generate_next_level(freq, alpha, prune=False):
             assert cand.prefix().items in freq_set
+
+
+def _reference_next_level(frequent, alphabet, prune, contiguous):
+    """The per-candidate A-priori loop the array pass replaced."""
+    frequent_set = {e.items for e in frequent}
+    out = []
+    for base_items in sorted(frequent_set):
+        base = Episode(base_items)
+        for item in range(alphabet.size):
+            if item in base_items:
+                continue
+            cand = base.extend(item)
+            if prune:
+                subs = [cand.suffix()] if contiguous else cand.subepisodes()
+                if not all(sub.items in frequent_set for sub in subs):
+                    continue
+            out.append(cand)
+    return out
+
+
+def _alphabet(size):
+    # generation reads only ``alphabet.size``; Alphabet itself stops at
+    # 255 symbols, so a stand-in reaches the full uint8 code range
+    if size > 255:
+        return SimpleNamespace(size=size)
+    return Alphabet(tuple(chr(0x100 + i) for i in range(size)))
+
+
+@st.composite
+def _frequent_sets(draw):
+    """(alphabet, frequent) with shuffled, duplicated rows.
+
+    Besides random rows, the drop-one sub-rows of a few random
+    level-L+1 targets are added (minus a few), so pruning both keeps
+    and rejects candidates at every level.
+    """
+    size = draw(st.integers(1, 256))
+    level = draw(st.integers(1, min(7, size)))
+
+    def rows(length, max_size):
+        return st.lists(
+            st.lists(
+                st.integers(0, size - 1), min_size=length, max_size=length,
+                unique=True,
+            ).map(tuple),
+            max_size=max_size,
+        )
+
+    items = draw(rows(level, 20))
+    if level < size:
+        for target in draw(rows(level + 1, 6)):
+            items += [target[:d] + target[d + 1:] for d in range(level + 1)]
+    if items:
+        dropped = draw(st.sets(st.sampled_from(items), max_size=3))
+        items = [r for r in items if r not in dropped]
+    if items:
+        items += draw(st.lists(st.sampled_from(items), max_size=5))
+    items = draw(st.permutations(items))
+    return _alphabet(size), [Episode(r) for r in items]
+
+
+def _assert_matches_reference(frequent, alphabet, prune, contiguous):
+    trie = generate_next_level(
+        frequent, alphabet, prune=prune, contiguous=contiguous
+    )
+    expected = _reference_next_level(frequent, alphabet, prune, contiguous)
+    assert list(trie) == expected
+    if expected:
+        assert trie.level == expected[0].length
+        assert trie.matrix.dtype == np.uint8
+        assert np.array_equal(trie.matrix, episodes_to_matrix(list(trie)))
+    return trie
+
+
+class TestArrayPassMatchesLoop:
+    """Differential test: the array pass against the per-candidate loop,
+    episode order included."""
+
+    @pytest.mark.parametrize("prune", [True, False])
+    @pytest.mark.parametrize("contiguous", [True, False])
+    @given(case=_frequent_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_same_episodes_in_same_order(self, case, prune, contiguous):
+        alphabet, frequent = case
+        _assert_matches_reference(frequent, alphabet, prune, contiguous)
+
+    @pytest.mark.parametrize("contiguous", [True, False])
+    def test_full_code_range_at_level_8(self, contiguous):
+        """256**8 overflows int64: keys must be byte rows, not codes."""
+        alphabet = _alphabet(256)
+        rng = np.random.default_rng(8)
+        high = np.arange(246, 256)
+        targets = [
+            tuple(int(c) for c in rng.choice(high, 9, replace=False))
+            for _ in range(12)
+        ] + [(255, 254, 0, 1, 128, 127, 200, 3, 4)]
+        frequent = [
+            Episode(t[:d] + t[d + 1:]) for t in targets for d in range(9)
+        ]
+        trie = _assert_matches_reference(frequent, alphabet, True, contiguous)
+        assert trie.level == 9
+        assert Episode((255, 254, 0, 1, 128, 127, 200, 3, 4)) in trie
+
+    def test_code_above_255_rejected(self):
+        with pytest.raises(ValidationError, match="256"):
+            generate_next_level([Episode((3, 300))], _alphabet(62))
+        with pytest.raises(ValidationError, match="256"):
+            generate_next_level([Episode((3, 4))], _alphabet(257))

@@ -56,6 +56,39 @@ class TestMiningLoop:
         result = FrequentEpisodeMiner(alpha, threshold=0.01, max_level=2).mine(db)
         assert result.max_level <= 2
 
+    @pytest.mark.parametrize("mode", [None, "landmark", "windowed"])
+    def test_no_generation_past_max_level(self, simple_db, monkeypatch, mode):
+        """Level ``max_level`` is the last one counted, so its frequent
+        set is never extended into candidates that would be discarded."""
+        import repro.mining.miner as batch_module
+        import repro.streaming.miner as stream_module
+        from repro.streaming import StreamingMiner
+
+        db, alpha = simple_db
+        extended = []
+        for module in (batch_module, stream_module):
+            original = module.generate_next_level
+
+            def spy(frequent, *args, _original=original, **kwargs):
+                extended.append(frequent[0].length)
+                return _original(frequent, *args, **kwargs)
+
+            monkeypatch.setattr(module, "generate_next_level", spy)
+        if mode is None:
+            result = FrequentEpisodeMiner(
+                alpha, threshold=0.1, max_level=2
+            ).mine(db)
+        else:
+            miner = StreamingMiner(
+                alpha, 0.1, mode=mode, max_level=2,
+                horizon=200 if mode == "windowed" else None,
+            )
+            for start in range(0, db.size, 70):
+                miner.update(db[start:start + 70])
+            result = miner.result()
+        assert result.level(2).n_frequent > 0  # level 2 had a set to extend
+        assert set(extended) == {1}
+
     def test_stops_when_nothing_frequent(self):
         alpha = Alphabet.of_size(4)
         db = np.zeros(100, dtype=np.uint8)  # only 'A' repeated
