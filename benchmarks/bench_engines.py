@@ -39,6 +39,15 @@ must finish with identical frequent sets and counts (checksummed;
 ``check_regression.check_streaming`` gates the equality hard), and the
 events/sec columns quantify the carry's win.
 
+The ``windowed_fold`` series (schema 10) streams seeded SUBSEQUENCE
+and EXPIRING feeds through the windowed
+:class:`~repro.streaming.StreamingMiner` (alphabet 8, horizon 8,192,
+1,024-event chunks, levels <= 3): the decremental fold over cached
+per-segment trie summaries.  Each row checks its final result against
+batch-mining the trailing horizon (``counts_identical``); its timings
+are advisory and no gate reads them.  ``sharded_scaling`` rows record
+the host's ``nproc`` beside the pinned ``workers``.
+
 The ``telemetry_overhead`` series (schema 8) times the same auto-engine
 counting loop with no recorder, the default
 :data:`~repro.obs.recorder.NULL_RECORDER`, and a live
@@ -73,8 +82,9 @@ SRC = Path(__file__).parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-SCHEMA = 9  # 9: every series counts tries; trie_batch checks against
-# vector-sweep (8: telemetry_overhead series gates the repro.obs
+SCHEMA = 10  # 10: windowed_fold series; sharded_scaling rows record
+# nproc (9: every series counts tries; trie_batch checks against
+# vector-sweep; 8: telemetry_overhead series gates the repro.obs
 # recorder cost; 7: streaming position-hop chunk resume; 6: trie_batch)
 DEFAULT_OUT = Path(__file__).parent / "BENCH_engines.json"
 
@@ -117,6 +127,7 @@ def run_bench(
     streaming: "dict | None" = None,
     trie_batch: "dict | None" = None,
     telemetry: "dict | None" = None,
+    windowed_fold: "dict | None" = None,
 ) -> dict:
     """Measure every policy x engine x size cell; returns the JSON payload."""
     from repro.mining.alphabet import UPPERCASE
@@ -236,6 +247,7 @@ def run_bench(
     stream_tp = run_streaming_throughput(**(streaming or {}))
     trie_rows = run_trie_batch(**(trie_batch or {}))
     telemetry_rows = run_telemetry_overhead(**(telemetry or {}))
+    windowed_rows = run_windowed_fold(**(windowed_fold or {}))
     return {
         "schema": SCHEMA,
         "params": {
@@ -253,6 +265,7 @@ def run_bench(
         "streaming_throughput": stream_tp,
         "trie_batch": trie_rows,
         "telemetry_overhead": telemetry_rows,
+        "windowed_fold": windowed_rows,
     }
 
 
@@ -302,6 +315,9 @@ def run_sharded_scaling(
                                MatchPolicy.SUBSEQUENCE)
         return (time.perf_counter() - t0) / calls
 
+    import os
+
+    nproc = os.cpu_count()
     rows = []
     per_call_engine = ShardedEngine(workers=workers, min_shard_work=0)
     per_call_s = timed_calls(per_call_engine)
@@ -313,6 +329,7 @@ def run_sharded_scaling(
             "episodes": n_episodes,
             "calls": calls,
             "workers": workers,
+            "nproc": nproc,
             "seconds_per_call": round(per_call_s, 6),
             "pools_spawned": per_call_engine.pools_spawned,
         }
@@ -328,6 +345,7 @@ def run_sharded_scaling(
             "episodes": n_episodes,
             "calls": calls,
             "workers": workers,
+            "nproc": nproc,
             "seconds_per_call": round(scoped_s, 6),
             "pools_spawned": scoped_engine.pools_spawned,
             "speedup_vs_per_call": round(per_call_s / scoped_s, 2),
@@ -588,6 +606,95 @@ def run_streaming_throughput(
     }
 
 
+#: windowed_fold series parameters: the decremental sliding-window fold
+#: over SUBSEQUENCE/EXPIRING, a window of eight chunk segments slid
+#: eight times
+WINDOWED_ALPHABET = 8
+WINDOWED_HORIZON = 8_192
+WINDOWED_CHUNK_EVENTS = 1_024
+WINDOWED_CHUNKS = 16
+WINDOWED_MAX_LEVEL = 3
+WINDOWED_POLICIES = (("subsequence", None), ("expiring", 6))
+
+
+def run_windowed_fold(
+    n_chunks: int = WINDOWED_CHUNKS,
+    chunk_events: int = WINDOWED_CHUNK_EVENTS,
+    horizon: int = WINDOWED_HORIZON,
+    threshold: float = STREAM_THRESHOLD,
+    max_level: int = WINDOWED_MAX_LEVEL,
+    drift: float = STREAM_DRIFT,
+    seed: int = SEED,
+    repeats: int = 3,
+) -> "list[dict]":
+    """Windowed SUBSEQUENCE/EXPIRING streams through the segment fold.
+
+    One seeded drifting feed per policy, consumed by a windowed
+    :class:`~repro.streaming.StreamingMiner`: each chunk caches the
+    trie summaries of its new segment and composes the window from
+    them.  ``seconds`` is the best of ``repeats`` whole streams.  The
+    final result is checked against batch-mining the trailing horizon
+    (``checksum`` vs ``batch_checksum``); the timings are advisory
+    (no gate reads them), the row exists to time this path.
+    """
+    import time
+
+    from repro.mining.alphabet import Alphabet
+    from repro.mining.miner import FrequentEpisodeMiner
+    from repro.mining.policies import MatchPolicy
+    from repro.streaming import StreamingMiner, SyntheticStreamSource
+
+    alphabet = Alphabet.of_size(WINDOWED_ALPHABET)
+    rows: "list[dict]" = []
+    if n_chunks < 1:
+        return rows
+    for policy_value, window in WINDOWED_POLICIES:
+        policy = MatchPolicy(policy_value)
+        source = SyntheticStreamSource(
+            n_chunks, chunk_events, alphabet=alphabet, seed=seed, drift=drift
+        )
+        best = float("inf")
+        for _ in range(max(1, int(repeats))):
+            miner = StreamingMiner(
+                alphabet, threshold=threshold, policy=policy, window=window,
+                engine="auto", mode="windowed", horizon=horizon,
+                max_level=max_level,
+            )
+            t0 = time.perf_counter()
+            miner.consume(source)
+            best = min(best, time.perf_counter() - t0)
+        trailing = np.concatenate(list(source.chunks()))[-horizon:]
+        batch = FrequentEpisodeMiner(
+            alphabet, threshold=threshold, policy=policy, window=window,
+            engine="auto", max_level=max_level,
+        ).mine(trailing)
+        frequent = miner.result().all_frequent
+        row = {
+            "policy": policy_value,
+            "window": window,
+            "alphabet": WINDOWED_ALPHABET,
+            "horizon": horizon,
+            "chunks": n_chunks,
+            "chunk_events": chunk_events,
+            "max_level": max_level,
+            "threshold": threshold,
+            "seconds": round(best, 6),
+            "chunk_ms": round(best * 1e3 / n_chunks, 3),
+            "n_frequent": len(frequent),
+            "checksum": int(sum(frequent.values())),
+            "batch_checksum": int(sum(batch.all_frequent.values())),
+            "counts_identical": frequent == batch.all_frequent,
+        }
+        rows.append(row)
+        print(
+            f"windowed_fold {policy_value:12s} {n_chunks} x "
+            f"{chunk_events:,} events, horizon {horizon:,}: "
+            f"{row['chunk_ms']:8.2f} ms/chunk ({row['n_frequent']} "
+            f"frequent, identical to batch={row['counts_identical']})"
+        )
+    return rows
+
+
 #: telemetry_overhead series parameters: a SUBSEQUENCE batch on the
 #: auto engine, repeated enough passes per timed call that the 1%
 #: NullRecorder ceiling sits well above timer jitter
@@ -781,6 +888,8 @@ def main(argv: "list[str] | None" = None) -> int:
             dict(n=20_000, n_episodes=200, repeats=3)
             if args.quick else None
         ),
+        # quick mode times the windowed feed once instead of best-of-3
+        windowed_fold=dict(repeats=1) if args.quick else None,
     )
     # atomic: an interrupted benchmark run must not tear the committed
     # trajectory file the conformance harness diffs against

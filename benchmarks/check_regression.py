@@ -56,6 +56,10 @@ identical counts (checksummed — machine-independent), and the overhead
 ceilings (null <= 1%, recording <= 5%, with an absolute jitter floor)
 are within-machine, so the whole check runs on the fresh payload alone
 and pre-series snapshots need nothing.
+
+The ``windowed_fold`` series (schema 10) is gated on exactness only:
+each windowed stream must end on the batch result over its trailing
+horizon.  Its timings are reported, not gated.
 """
 
 from __future__ import annotations
@@ -415,6 +419,24 @@ def check_telemetry(fresh: dict) -> "list[str]":
     return problems
 
 
+def check_windowed_fold(fresh: dict) -> "list[str]":
+    """Gate the ``windowed_fold`` series (schema 10) on exactness only.
+
+    Each row's windowed stream must end on the result of batch-mining
+    the trailing horizon; a divergence is a counting bug in the segment
+    fold, failed on any machine.  The timings are advisory.  Payloads
+    without the series pass untouched.
+    """
+    return [
+        f"windowed_fold {row['policy']}: windowed result (checksum "
+        f"{row.get('checksum')}) != batch over the trailing horizon "
+        f"(checksum {row.get('batch_checksum')}) — a fold bug, not a "
+        "perf issue"
+        for row in fresh.get("windowed_fold") or ()
+        if not row.get("counts_identical", True)
+    ]
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--reference", type=Path, default=REFERENCE)
@@ -466,6 +488,7 @@ def main(argv: "list[str] | None" = None) -> int:
     problems += check_streaming(reference, fresh, tolerance=args.tolerance)
     problems += check_trie_batch(fresh)
     problems += check_telemetry(fresh)
+    problems += check_windowed_fold(fresh)
     if not problems:
         print("engine throughput: no regression vs committed trajectory")
         return 0

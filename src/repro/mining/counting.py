@@ -435,29 +435,44 @@ def _chain_positions(
     return reach, starts
 
 
+def _jump_tables(ends: np.ndarray, starts: np.ndarray) -> "list[np.ndarray]":
+    """Binary-lifting tables of the greedy completion chain.
+
+    ``tables[k][i]`` is the completion ``2**k`` greedy steps after
+    completion ``i`` (``m`` once the chain has left the frontier; ``m``
+    maps to itself).  Step one is ``jump[i] = first k with starts[k] >
+    ends[i]`` — ``starts`` is non-decreasing, so the set of chains lying
+    wholly after ``ends[i]`` is a suffix of indices.
+    """
+    m = int(ends.size)
+    jump = np.searchsorted(starts, ends, side="right")
+    tables = [np.append(jump, m).astype(np.int64)]
+    while (1 << len(tables)) < m:
+        prev = tables[-1]
+        tables.append(prev[prev])
+    return tables
+
+
 def _walk_jump_chain(
-    ends: np.ndarray, starts: np.ndarray, first: int
+    ends: np.ndarray,
+    starts: np.ndarray,
+    first: int,
+    tables: "list[np.ndarray] | None" = None,
 ) -> tuple[int, int]:
     """Walk the greedy completion chain starting at completion ``first``.
 
-    ``jump[i] = first k with starts[k] > ends[i]`` is the next greedy
-    non-overlapped completion after completion ``i`` (``starts`` is
-    non-decreasing, so the set of chains lying wholly after ``ends[i]``
-    is a suffix of indices).  Returns ``(count, last)`` — the number of
-    completions on the chain ``first -> jump[first] -> ...`` and the
-    index of the final one — resolved with O(log m) vectorized
-    binary-lifting rounds instead of a per-occurrence loop.
-    ``first >= m`` means no completion remains: ``(0, -1)``.
+    Returns ``(count, last)`` — the number of completions on the chain
+    ``first -> jump[first] -> ...`` and the index of the final one —
+    resolved with O(log m) binary-lifting rounds over
+    :func:`_jump_tables` (built here unless the caller shares them)
+    instead of a per-occurrence loop.  ``first >= m`` means no
+    completion remains: ``(0, -1)``.
     """
     m = int(ends.size)
     if first >= m:
         return 0, -1
-    jump = np.searchsorted(starts, ends, side="right")
-    table = np.append(jump, m).astype(np.int64)  # sentinel: m maps to m
-    tables = [table]
-    while (1 << len(tables)) < m:
-        prev = tables[-1]
-        tables.append(prev[prev])
+    if tables is None:
+        tables = _jump_tables(ends, starts)
     count = 1
     cur = int(first)
     for k in range(len(tables) - 1, -1, -1):
@@ -492,7 +507,8 @@ def _count_positions_single(
 
 
 # ---------------------------------------------------------------------------
-# Position-hop chunk resume (streaming advance; see repro.mining.spanning)
+# Position-hop resume and summary steps (driven by the trie walks of
+# repro.mining.trie; see repro.mining.spanning for the carry)
 # ---------------------------------------------------------------------------
 
 def _hop_partial_match(
@@ -521,57 +537,45 @@ def _hop_partial_match(
 def _resume_subsequence_hopping(
     index: DatabaseIndex,
     items: "tuple[int, ...]",
-    state: int,
+    states: "list[int]",
     chain: "tuple[np.ndarray, np.ndarray]",
-) -> tuple[int, int]:
+) -> "list[tuple[int, int]]":
     """``(count, exit_state)`` of the greedy SUBSEQUENCE FSM resumed in
-    ``state`` over the indexed database segment.
+    each of ``states`` over the indexed database segment.
 
-    Bit-identical to one lane of :func:`resume_subsequence_batch`, in
-    O(L + log m) searchsorted hops instead of a per-character sweep:
+    Bit-identical to the matching lanes of
+    :func:`resume_subsequence_batch`, in O(L + log m) searchsorted hops
+    per entry instead of a per-character sweep:
 
     1. the carried partial completes greedily (``items[state:]`` hopped
        to earliest occurrences — the FSM's exact advance rule);
     2. every later completion follows the full-episode jump chain
-       (:func:`_walk_jump_chain` over ``chain``, the precomputed
-       :func:`_chain_positions` of the whole episode — shared across a
-       trie subtree by :func:`repro.mining.trie.resume_positions_trie`);
+       (:func:`_walk_jump_chain` over ``chain``, the episode's
+       completion frontier, which the trie walks of
+       :mod:`repro.mining.trie` share across a subtree);
     3. the exit state is the greedy partial progress strictly after the
        final completion (it can never re-complete — a full chain there
        would itself have been on the jump chain).
+
+    The entries share the chain's lifting tables, built on first use.
     """
     length = len(items)
-    matched, p1 = _hop_partial_match(index, items[state:], -1)
-    if state + matched < length:
-        return 0, state + matched
     ends, starts = chain
-    k = int(np.searchsorted(starts, p1, side="right"))
-    extra, last = _walk_jump_chain(ends, starts, k)
-    q = int(ends[last]) if extra else p1
-    exit_state, _ = _hop_partial_match(index, items, q)
-    return 1 + extra, exit_state
-
-
-def _expiring_chain_with_tails(
-    index: DatabaseIndex, items: "tuple[int, ...]", window: int
-) -> "tuple[np.ndarray, np.ndarray, list[tuple[int, int] | None]]":
-    """Windowed chain fold capturing each prefix depth's final frontier.
-
-    Returns ``(ends, starts, tails)`` where ``(ends, starts)`` is the
-    full-episode frontier and ``tails[s-1]`` is the ``(end, start)``
-    pair of the *last* completion on the depth-``s`` frontier for
-    ``s = 1..L-1`` (``None`` when that frontier is empty) — the inputs
-    :func:`_expiring_exit_row` turns into the sweep's exit snapshot.
-    """
-    ends = index.positions(items[0])
-    starts = ends
-    tails: "list[tuple[int, int] | None]" = []
-    for item in items[1:]:
-        tails.append(
-            (int(ends[-1]), int(starts[-1])) if ends.size else None
-        )
-        ends, starts = _hop_positions(index, ends, starts, item, window)
-    return ends, starts, tails
+    tables: "list[np.ndarray] | None" = None
+    out = []
+    for state in states:
+        matched, p1 = _hop_partial_match(index, items[state:], -1)
+        if state + matched < length:
+            out.append((0, state + matched))
+            continue
+        k = int(np.searchsorted(starts, p1, side="right"))
+        if tables is None and k < ends.size:
+            tables = _jump_tables(ends, starts)
+        extra, last = _walk_jump_chain(ends, starts, k, tables)
+        q = int(ends[last]) if extra else p1
+        exit_state, _ = _hop_partial_match(index, items, q)
+        out.append((1 + extra, exit_state))
+    return out
 
 
 def _expiring_exit_row(

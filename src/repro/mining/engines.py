@@ -29,10 +29,10 @@ it in an :class:`EngineRegistry`, and layers composition on top:
   trie subtrees when the batch is wide enough, and otherwise along the
   *database* axis via the two-pass state-summarization carry of
   :mod:`repro.mining.spanning` (Patnaik et al.'s accelerator-oriented
-  transformation): workers compute per-segment state summaries in
-  parallel (pass 1), and a cheap sequential compose threads the true
-  entry states through them — exact for occurrences straddling any
-  number of segments.
+  transformation): workers walk the trie for per-segment state
+  summaries in parallel (pass 1), and a cheap sequential compose
+  threads the true entry states through them — exact for occurrences
+  straddling any number of segments.
 
 Counting
 --------
@@ -175,16 +175,17 @@ from repro.mining.trie import (
     as_trie,
     cached_count_batch,
     count_positions_trie,
+    expiring_summary_trie,
     resume_positions_trie,
+    subsequence_summary_trie,
 )
 from repro.mining.spanning import (
+    ExpiringSummary,
     compose_expiring,
     compose_subsequence,
     count_starts_in,
-    expiring_segment_summary,
     iter_boundary_windows,
     segment_bounds,
-    subsequence_segment_summary,
 )
 
 __all__ = [
@@ -766,7 +767,8 @@ class _BoundaryShard:
 @dataclass(frozen=True, eq=False)
 class _SummaryShard:
     """Pass 1 of the database-axis state carry: one segment's FSM
-    summary; the parent composes the entry states."""
+    summary by one trie walk; the parent composes the entry states.
+    The rows are the wire format, as for :class:`_SubtreeShard`."""
 
     db: np.ndarray
     matrix: np.ndarray
@@ -775,11 +777,13 @@ class _SummaryShard:
     t0: int
 
     def run(self) -> object:
+        trie = CandidateTrie.from_matrix(self.matrix)
         if self.policy is MatchPolicy.SUBSEQUENCE:
-            return subsequence_segment_summary(self.db, self.matrix)
-        return expiring_segment_summary(
-            self.db, self.matrix, int(self.window), self.t0  # type: ignore[arg-type]
+            return subsequence_summary_trie(self.db, trie)
+        counts, exit_times = expiring_summary_trie(
+            self.db, trie, int(self.window), self.t0  # type: ignore[arg-type]
         )
+        return ExpiringSummary(counts=counts, exit_times=exit_times)
 
 
 _Shard = Union[_SubtreeShard, _SegmentShard, _BoundaryShard, _SummaryShard]
@@ -928,9 +932,8 @@ class ShardedEngine(CountingEngine):
     database) via the two-pass state carry: workers return per-segment
     FSM summaries (pass 1), the parent composes entry states
     sequentially — exact for occurrences straddling any number of
-    segments (paper §3.3.3 made parallel).  ``axis`` pins the choice
-    (``"episode"`` / ``"database"``) or leaves it to the heuristic
-    (``"auto"``).
+    segments (paper §3.3.3 made parallel).  The axis is a fixed rule
+    of the batch width (:meth:`_pick_axis`).
 
     Subtree shards receive whole root-child subtrees
     (:meth:`~repro.mining.trie.CandidateTrie.subtree_index_groups`),
@@ -971,9 +974,6 @@ class ShardedEngine(CountingEngine):
 
     name = "sharded"
 
-    #: valid ``axis`` choices for the SUBSEQUENCE/EXPIRING split
-    AXES = ("auto", "episode", "database")
-
     #: ``min_shard_work`` when the caller passes none
     DEFAULT_MIN_SHARD_WORK = 1 << 21
 
@@ -982,7 +982,6 @@ class ShardedEngine(CountingEngine):
         inner: "str | CountingEngine" = "auto",
         workers: int | None = None,
         min_shard_work: int | None = None,
-        axis: str = "auto",
         shard_deadline_s: float | None = None,
         backoff: "BackoffPolicy | None" = None,
         max_pool_respawns: int = 1,
@@ -997,10 +996,6 @@ class ShardedEngine(CountingEngine):
             )
         if max_pool_respawns < 0:
             raise ConfigError("max_pool_respawns must be >= 0")
-        if axis not in self.AXES:
-            raise ConfigError(
-                f"axis must be one of {self.AXES}, got {axis!r}"
-            )
         self.inner = get_engine(inner)
         if isinstance(self.inner, ShardedEngine):
             raise ConfigError("sharded engine cannot wrap itself")
@@ -1032,7 +1027,6 @@ class ShardedEngine(CountingEngine):
             min_shard_work if min_shard_work is not None
             else self.DEFAULT_MIN_SHARD_WORK
         )
-        self.axis = axis
         self.shard_deadline_s = shard_deadline_s
         self.backoff = backoff if backoff is not None else BackoffPolicy()
         self.max_pool_respawns = max_pool_respawns
@@ -1172,14 +1166,11 @@ class ShardedEngine(CountingEngine):
     def _pick_axis(self, n_eps: int) -> str:
         """SUBSEQUENCE/EXPIRING axis choice.
 
-        The episode axis is cheaper per character (the inner engine's
-        position-hop path is sublinear in n), so auto keeps it whenever
-        the batch fills every worker with at least one episode; narrower
-        batches cannot use the workers at all without splitting the
-        database, which is exactly when the state carry earns its keep.
+        The episode axis whenever the batch fills every worker with at
+        least one episode; narrower batches cannot use the workers at
+        all without splitting the database, which is exactly when the
+        state carry earns its keep.
         """
-        if self.axis != "auto":
-            return self.axis
         return "episode" if n_eps >= self.workers else "database"
 
     def _count_reset(
@@ -1216,10 +1207,9 @@ class ShardedEngine(CountingEngine):
         Pass 2 (here): sequential compose of entry states — table
         lookups for SUBSEQUENCE, bounded lockstep fix-up for EXPIRING.
         The pool is acquired *before* committing to the decomposition:
-        pass 1 costs ~L sweeps of the database, pure overhead without
-        workers to spread it over, so a pool-less platform counts
-        inline on the inner engine instead.  A pool failing mid-job is
-        the supervisor's problem: completed summary shards are kept and
+        pass 1 is pure overhead without workers to spread it over, so
+        a pool-less platform counts inline on the inner engine instead.
+        A pool failing mid-job is the supervisor's problem: completed summary shards are kept and
         unfinished ones recomputed (re-dispatched or in-process), so
         the compose below always sees a full summary set.
         """

@@ -21,11 +21,17 @@ of Patnaik et al.'s accelerator-oriented transformation (PAPERS.md):
 * **Pass 1 (parallel over segments)** computes a per-segment summary.
   SUBSEQUENCE state is one integer in ``0..L-1``, so the summary is the
   full entry-state table — ``(exit state, completions)`` for *every*
-  possible entry — tabulated in a single ``E*L``-lane sweep
-  (:func:`subsequence_segment_summary`).  EXPIRING state is a timestamp
-  vector (not enumerable), so the summary is the segment's run from the
-  *empty* state plus its exit snapshot
-  (:func:`expiring_segment_summary`).
+  possible entry.  EXPIRING state is a timestamp vector (not
+  enumerable), so the summary is the segment's run from the *empty*
+  state plus its exit snapshot.  Each summary is built two ways,
+  bit-identically: by a per-character sweep here
+  (:func:`subsequence_segment_summary`, one ``E*L``-lane pass;
+  :func:`expiring_segment_summary`), which serves
+  :func:`count_segmented`, and by one position-hop walk of the
+  candidate trie (:func:`repro.mining.trie.subsequence_summary_trie`,
+  :func:`repro.mining.trie.expiring_summary_trie`), which serves every
+  position-hop path: the sharded summary shards, the windowed stream
+  fold and the landmark chunk resume.
 * **Pass 2 (cheap sequential compose)** threads the true entry state
   through the summaries.  SUBSEQUENCE composes by pure table lookup
   (:func:`compose_subsequence` — a parallel-prefix function
@@ -40,10 +46,11 @@ of Patnaik et al.'s accelerator-oriented transformation (PAPERS.md):
   exact for occurrences straddling any number of segments.
 
 :func:`count_segmented` uses the same machinery serially; the sharded
-counting engine (:mod:`repro.mining.engines`) dispatches pass 1 across
-process-pool workers; the streaming subsystem (:mod:`repro.streaming`)
-treats each arriving chunk as the next segment of an unbounded database
-and carries the composed exit state between chunks via
+counting engine (:mod:`repro.mining.engines`) dispatches the trie-walk
+pass 1 across process-pool workers; the streaming subsystem
+(:mod:`repro.streaming`) treats each arriving chunk as the next
+segment of an unbounded database and carries the composed exit state
+between chunks via
 :func:`advance_subsequence` / :func:`advance_expiring`.
 Characterization 3's cost-of-spanning trend is precisely the growth of
 this carry work with segment count.
@@ -59,12 +66,7 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.mining.counting import (
     _NEG,
-    DatabaseIndex,
-    _chain_positions,
-    _expiring_chain_with_tails,
-    _expiring_exit_row,
     _expiring_step,
-    _resume_subsequence_hopping,
     count_reset_batch,
     resume_expiring_batch,
     resume_subsequence_batch,
@@ -288,95 +290,6 @@ def expiring_segment_summary(
     n_eps, length = matrix.shape
     times = np.full((n_eps, length + 1), _NEG, dtype=np.int64)
     counts, exit_times = resume_expiring_batch(db_seg, matrix, window, times, t0)
-    return ExpiringSummary(counts=counts, exit_times=exit_times)
-
-
-def hop_subsequence_resume(
-    db_seg: np.ndarray,
-    matrix: np.ndarray,
-    entry: np.ndarray,
-    index: "DatabaseIndex | None" = None,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Position-hop SUBSEQUENCE resume: ``(counts, exit_states)`` for a
-    segment entered in states ``entry``.
-
-    Bit-identical to :func:`~repro.mining.counting.
-    resume_subsequence_batch` but built from the segment's own
-    :class:`~repro.mining.counting.DatabaseIndex` — interpreter work is
-    O(E·(L + log m)), *independent of segment length*, which is what
-    makes the streaming chunk advance sublinear in chunk size (the
-    per-character sweep it replaces was the ``streaming_throughput``
-    pessimization).  Unlike :func:`subsequence_segment_summary` this
-    resumes only the entry states actually carried, not all L rows.
-    """
-    index = index if index is not None else DatabaseIndex(db_seg)
-    n_eps = matrix.shape[0]
-    counts = np.zeros(n_eps, dtype=np.int64)
-    exits = np.zeros(n_eps, dtype=np.int64)
-    for i in range(n_eps):
-        items = tuple(int(x) for x in matrix[i])
-        chain = _chain_positions(index, items, None)
-        counts[i], exits[i] = _resume_subsequence_hopping(
-            index, items, int(entry[i]), chain
-        )
-    return counts, exits
-
-
-def hop_subsequence_summary(
-    db_seg: np.ndarray,
-    matrix: np.ndarray,
-    index: "DatabaseIndex | None" = None,
-) -> SubsequenceSummary:
-    """Position-hop tabulation of the full SUBSEQUENCE entry table.
-
-    Bit-identical to :func:`subsequence_segment_summary` (one resume
-    per entry state, sharing each episode's chain), in O(E·L·log m)
-    hops instead of an ``E·L``-lane per-character sweep.  Used where
-    *every* entry state is needed — the decremental sliding window
-    caches these per segment and composes by table lookup.
-    """
-    n_eps, length = matrix.shape
-    index = index if index is not None else DatabaseIndex(db_seg)
-    counts = np.zeros((length, n_eps), dtype=np.int64)
-    exits = np.zeros((length, n_eps), dtype=np.int64)
-    for i in range(n_eps):
-        items = tuple(int(x) for x in matrix[i])
-        chain = _chain_positions(index, items, None)
-        for s in range(length):
-            counts[s, i], exits[s, i] = _resume_subsequence_hopping(
-                index, items, s, chain
-            )
-    return SubsequenceSummary(counts=counts, exits=exits)
-
-
-def hop_expiring_summary(
-    db_seg: np.ndarray,
-    matrix: np.ndarray,
-    window: int,
-    t0: int,
-    index: "DatabaseIndex | None" = None,
-) -> ExpiringSummary:
-    """Position-hop EXPIRING empty-entry summary.
-
-    Bit-identical to :func:`expiring_segment_summary` — counts from the
-    windowed jump chains, exit snapshot from each prefix depth's
-    frontier tail (:func:`~repro.mining.counting._expiring_exit_row`) —
-    without sweeping the segment per character.  The carried entry
-    state still composes through :func:`advance_expiring`, whose
-    dead-entry fast path accepts this summary O(1).
-    """
-    n_eps, length = matrix.shape
-    index = index if index is not None else DatabaseIndex(db_seg)
-    counts = np.zeros(n_eps, dtype=np.int64)
-    exit_times = np.full((n_eps, length + 1), _NEG, dtype=np.int64)
-    for i in range(n_eps):
-        items = tuple(int(x) for x in matrix[i])
-        ends, starts, tails = _expiring_chain_with_tails(
-            index, items, int(window)
-        )
-        counts[i], exit_times[i] = _expiring_exit_row(
-            length, tails, ends, starts, int(t0)
-        )
     return ExpiringSummary(counts=counts, exit_times=exit_times)
 
 

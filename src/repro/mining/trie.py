@@ -29,6 +29,13 @@ Contract (relied on across engines/miner/streaming — see
   handing a parent frontier to every child edge is exact, not an
   approximation.
 
+The same walk, carrying each node's frontier down the trie, also
+resumes carried FSM state (:func:`resume_positions_trie`) and builds
+the segment summaries of the two-pass state carry
+(:func:`subsequence_summary_trie`, :func:`expiring_summary_trie`):
+every position-hop summary and resume in the program goes through
+these walks.
+
 :class:`CountCache` is the content-addressed count cache: keyed by
 ``(db_fingerprint, episode items, policy, window)`` — the PR 3
 fingerprint machinery — so a count is a pure function of its key and
@@ -49,6 +56,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.mining.counting import (
+    _NEG,
     DatabaseIndex,
     db_fingerprint,
     _expiring_exit_row,
@@ -56,10 +64,15 @@ from repro.mining.counting import (
     _resume_subsequence_hopping,
 )
 from repro.mining.episode import Episode, episodes_to_matrix
+from repro.mining.policies import MatchPolicy
+from repro.mining.spanning import (
+    ExpiringSummary,
+    SubsequenceSummary,
+    advance_expiring,
+)
 
 if TYPE_CHECKING:  # runtime import would cycle through engines
     from repro.mining.engines import CountingEngine
-    from repro.mining.policies import MatchPolicy
 
 __all__ = [
     "CandidateTrie",
@@ -69,6 +82,7 @@ __all__ = [
     "count_positions_trie",
     "expiring_summary_trie",
     "resume_positions_trie",
+    "subsequence_summary_trie",
 ]
 
 
@@ -401,7 +415,7 @@ def count_positions_trie(
 def resume_positions_trie(
     db: np.ndarray,
     trie: CandidateTrie,
-    policy: "MatchPolicy",
+    policy: MatchPolicy,
     window: "int | None",
     state: np.ndarray,
     t0: int = 0,
@@ -417,8 +431,8 @@ def resume_positions_trie(
 
     * ``SUBSEQUENCE`` — ``state`` is the ``(E,)`` entry-state vector;
       bit-identical to :func:`~repro.mining.counting.
-      resume_subsequence_batch`, with the full-episode jump chains
-      taken from the shared DFS frontiers.
+      resume_subsequence_batch` (one row of the entry table
+      :func:`subsequence_summary_trie` tabulates in full).
     * ``EXPIRING`` — ``state`` is the ``(E, L+1)`` absolute timestamp
       snapshot; the trie walk produces the empty-entry summary
       (:func:`expiring_summary_trie`) and the carried snapshot
@@ -430,16 +444,13 @@ def resume_positions_trie(
     state carry.  Engines expose this as
     :meth:`repro.mining.engines.CountingEngine.resume_batch`.
     """
-    from repro.mining.policies import MatchPolicy
-
     db = np.asarray(db)
     index = index if index is not None else DatabaseIndex(db)
     if policy is MatchPolicy.SUBSEQUENCE:
         entry = np.asarray(state, dtype=np.int64)
-        return _trie_subsequence_resume(index, trie, entry)
+        counts, exits = _trie_subsequence_resume(index, trie, entry[None])
+        return counts[0], exits[0]
     if policy is MatchPolicy.EXPIRING:
-        from repro.mining.spanning import ExpiringSummary, advance_expiring
-
         counts, exit_times = expiring_summary_trie(
             db, trie, int(window), int(t0), index=index  # type: ignore[arg-type]
         )
@@ -458,19 +469,43 @@ def resume_positions_trie(
     )
 
 
+def subsequence_summary_trie(
+    db: np.ndarray,
+    trie: CandidateTrie,
+    index: "DatabaseIndex | None" = None,
+) -> SubsequenceSummary:
+    """The full ``(L, E)`` SUBSEQUENCE entry table of a segment.
+
+    Bit-identical to the ``E*L``-lane sweep
+    :func:`repro.mining.spanning.subsequence_segment_summary`: row ``s``
+    resumes every episode in state ``s``, and all L rows come from the
+    same trie walk, so each terminal's chain is hopped once for all of
+    them.  The decremental sliding window caches these per segment and
+    the sharded database axis returns them from its summary shards.
+    """
+    index = index if index is not None else DatabaseIndex(np.asarray(db))
+    length, n_eps = trie.matrix.shape[1], len(trie)
+    entry = np.repeat(np.arange(length, dtype=np.int64)[:, None], n_eps, 1)
+    counts, exits = _trie_subsequence_resume(index, trie, entry)
+    return SubsequenceSummary(counts=counts, exits=exits)
+
+
 def _trie_subsequence_resume(
     index: "DatabaseIndex", trie: CandidateTrie, entry: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """SUBSEQUENCE resume sharing full-episode chains via the trie DFS.
+    """SUBSEQUENCE resume from an ``(R, E)`` entry table in one trie DFS.
 
-    Subtrees with an empty frontier are still visited: an episode whose
-    full chain never completes can still make partial greedy progress
-    (phase 1 of :func:`repro.mining.counting.
+    Returns ``(counts, exits)`` of the same shape: row ``r`` is the
+    segment entered in states ``entry[r]``.  Each terminal resumes from
+    all R of its entries against the one full-episode chain the DFS
+    hands it.  Subtrees with an empty frontier are still visited: an
+    episode whose full chain never completes can still make partial
+    greedy progress (phase 1 of :func:`repro.mining.counting.
     _resume_subsequence_hopping`), which the exit state must reflect.
     """
     matrix = trie.matrix
-    counts = np.zeros(len(trie), dtype=np.int64)
-    exits = np.zeros(len(trie), dtype=np.int64)
+    counts = np.zeros(entry.shape, dtype=np.int64)
+    exits = np.zeros(entry.shape, dtype=np.int64)
     stack: "list[tuple[int, np.ndarray, np.ndarray]]" = []
     for symbol, child in reversed(trie.children_of(0)):
         pos = index.positions(symbol)
@@ -478,10 +513,12 @@ def _trie_subsequence_resume(
     while stack:
         node, ends, starts = stack.pop()
         for term in trie.terminals_of(node):
-            items = tuple(int(x) for x in matrix[term])
-            counts[term], exits[term] = _resume_subsequence_hopping(
-                index, items, int(entry[term]), (ends, starts)
-            )
+            counts[:, term], exits[:, term] = np.array(
+                _resume_subsequence_hopping(
+                    index, tuple(matrix[term].tolist()),
+                    entry[:, term].tolist(), (ends, starts),
+                )
+            ).T
         for symbol, child in reversed(trie.children_of(node)):
             child_ends, child_starts = _hop_positions(
                 index, ends, starts, symbol, None
@@ -499,15 +536,13 @@ def expiring_summary_trie(
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Empty-entry EXPIRING summary ``(counts, exit_times)`` via the trie.
 
-    The trie-shared analogue of :func:`repro.mining.spanning.
-    hop_expiring_summary` (bit-identical to the per-character
-    ``expiring_segment_summary``): the DFS carries each path's
-    windowed frontier plus the per-depth frontier tails that
+    Bit-identical to the per-character sweep
+    :func:`repro.mining.spanning.expiring_segment_summary`: the DFS
+    carries each path's windowed frontier plus the per-depth frontier
+    tails (the last completion of each prefix depth) that
     :func:`repro.mining.counting._expiring_exit_row` turns into the
     sweep's exit snapshot.
     """
-    from repro.mining.counting import _NEG
-
     index = index if index is not None else DatabaseIndex(np.asarray(db))
     matrix = trie.matrix
     length = int(matrix.shape[1])
@@ -850,7 +885,7 @@ def cached_count_batch(
     db: np.ndarray,
     batch: "CandidateTrie | list[Episode] | np.ndarray",
     alphabet_size: int,
-    policy: "MatchPolicy",
+    policy: MatchPolicy,
     window: "int | None" = None,
     *,
     cache: CountCache,

@@ -19,7 +19,7 @@ recounting the prefix.  Per chunk it:
 
 Windowed mode is an *exact decremental sliding window*: the trailing
 ``horizon`` events are kept as the arriving chunk segments, each full
-segment's behaviour is summarized once (hop-based segment summaries,
+segment's behaviour is summarized once (trie-walk segment summaries,
 cached per segment per level) and the window count is the left-to-right
 composition of the partial front segment plus the cached summaries —
 so a windowed update costs work proportional to the chunk, not the
@@ -65,14 +65,18 @@ from repro.mining.miner import (
 )
 from repro.mining.policies import MatchPolicy, validate_window
 from repro.mining.spanning import (
+    ExpiringSummary,
     advance_expiring,
     advance_subsequence,
     count_starts_in,
-    hop_expiring_summary,
-    hop_subsequence_resume,
-    hop_subsequence_summary,
 )
-from repro.mining.trie import CandidateTrie, CountCache, cached_count_batch
+from repro.mining.trie import (
+    CandidateTrie,
+    CountCache,
+    cached_count_batch,
+    expiring_summary_trie,
+    subsequence_summary_trie,
+)
 from repro.obs.recorder import (
     NULL_RECORDER,
     NullRecorder,
@@ -719,7 +723,7 @@ class StreamingMiner:
         """Decremental slide: admit the chunk, retire expired segments,
         recount only if the window contents actually changed.
 
-        Full segments keep their hop-based summaries (cached per level
+        Full segments keep their trie-walk summaries (cached per level
         in ``_win_cache``), so the recount folds cached summaries and
         only does fresh per-event work on the partial front segment and
         the new chunk — windowed updates cost work proportional to the
@@ -777,16 +781,19 @@ class StreamingMiner:
     def _windowed_counts(
         self, level: int, candidates: CandidateTrie
     ) -> np.ndarray:
-        """Exact counts of ``episodes`` over the trailing window.
+        """Exact counts of ``candidates`` over the trailing window.
 
         Left-to-right composition over the window's segments: the
-        partial front segment is hop-counted fresh (it shrinks as the
-        window slides), every full segment contributes its cached
-        hop summary via the exact advance composition of
-        :mod:`repro.mining.spanning` — bit-identical to counting the
-        concatenated window (EXPIRING composes on the absolute event
-        clock; counts only depend on index differences, so they equal
-        the batch count of the window buffer).
+        partial front segment resumes fresh through the engine's
+        ``resume_batch`` (it shrinks as the window slides), every full
+        segment contributes its cached trie summary
+        (:func:`~repro.mining.trie.subsequence_summary_trie` /
+        :func:`~repro.mining.trie.expiring_summary_trie`) via the exact
+        advance composition of :mod:`repro.mining.spanning` —
+        bit-identical to counting the concatenated window (EXPIRING
+        composes on the absolute event clock; counts only depend on
+        index differences, so they equal the batch count of the window
+        buffer).
         """
         episodes = tuple(candidates)
         matrix = candidates.matrix
@@ -799,33 +806,35 @@ class StreamingMiner:
         total = np.zeros(len(episodes), dtype=np.int64)
         if self.policy is MatchPolicy.RESET:
             return self._windowed_counts_reset(matrix, total, lo)
-        if self.policy is MatchPolicy.SUBSEQUENCE:
+        subsequence = self.policy is MatchPolicy.SUBSEQUENCE
+        if subsequence:
             state = np.zeros(len(episodes), dtype=np.int64)
-            for seg, data, offset in self._window_pieces(lo):
-                if offset:
-                    inc, state = hop_subsequence_resume(data, matrix, state)
-                else:
-                    summary = summaries.get(seg.sid)
-                    if summary is None:
-                        summary = hop_subsequence_summary(seg.data, matrix)
-                        summaries[seg.sid] = summary
-                    inc, state = advance_subsequence(summary, state)
-                total += inc
-            return total
-        times = np.full(
-            (len(episodes), matrix.shape[1] + 1), _NEG, dtype=np.int64
-        )
-        w = int(self.window)
+        else:
+            state = np.full(
+                (len(episodes), matrix.shape[1] + 1), _NEG, dtype=np.int64
+            )
         for seg, data, offset in self._window_pieces(lo):
             t0 = seg.start + offset
+            summary = summaries.get(seg.sid)
             if offset:
-                summary = hop_expiring_summary(data, matrix, w, t0)
-            else:
-                summary = summaries.get(seg.sid)
+                inc, state = self._engine.resume_batch(
+                    data, candidates, self.policy, self.window, state, t0=t0
+                )
+            elif subsequence:
                 if summary is None:
-                    summary = hop_expiring_summary(seg.data, matrix, w, t0)
-                    summaries[seg.sid] = summary
-            inc, times = advance_expiring(data, matrix, w, times, t0, summary)
+                    summary = summaries[seg.sid] = subsequence_summary_trie(
+                        data, candidates
+                    )
+                inc, state = advance_subsequence(summary, state)
+            else:
+                w = int(self.window)  # type: ignore[arg-type]
+                if summary is None:
+                    summary = summaries[seg.sid] = ExpiringSummary(
+                        *expiring_summary_trie(data, candidates, w, t0)
+                    )
+                inc, state = advance_expiring(
+                    data, matrix, w, state, t0, summary
+                )
             total += inc
         return total
 

@@ -418,10 +418,6 @@ class TestShardedEngine:
         with pytest.raises(ConfigError, match="workers"):
             ShardedEngine(workers=workers)
 
-    def test_bad_axis(self):
-        with pytest.raises(ConfigError, match="axis"):
-            ShardedEngine(axis="diagonal")
-
     def test_nested_sharding_rejected(self):
         with pytest.raises(ConfigError, match="wrap itself"):
             ShardedEngine(inner="sharded")
@@ -459,8 +455,7 @@ class TestShardedDatabaseAxisCarry:
     @given(data=st.data(), n=small_alphabet)
     @settings(max_examples=20, deadline=None)
     def test_property_database_axis_vs_oracle(self, workers, data, n):
-        engine = ShardedEngine(workers=workers, min_shard_work=0,
-                               axis="database")
+        engine = ShardedEngine(workers=workers, min_shard_work=0)
         db = data.draw(db_strategy(n, max_len=200))
         ep = data.draw(episode_strategy(n))
         window = data.draw(st.integers(1, 8))
@@ -477,7 +472,7 @@ class TestShardedDatabaseAxisCarry:
         alpha = Alphabet.of_size(6)
         db = alpha.encode("ADBECF")
         ep = Episode.from_symbols("ABC", alpha)
-        engine = ShardedEngine(workers=6, min_shard_work=0, axis="database")
+        engine = ShardedEngine(workers=6, min_shard_work=0)
         for policy, w in [
             (MatchPolicy.SUBSEQUENCE, None),
             (MatchPolicy.EXPIRING, 2),
@@ -490,7 +485,7 @@ class TestShardedDatabaseAxisCarry:
         """EXPIRING gaps that exactly equal / exceed the window right at
         a segment boundary (workers=2 splits this db at index 3)."""
         alpha = Alphabet.of_size(4)
-        engine = ShardedEngine(workers=2, min_shard_work=0, axis="database")
+        engine = ShardedEngine(workers=2, min_shard_work=0)
         # A at 2, B at 3 (boundary): gap 1 <= window 1 -> counts
         db = alpha.encode("DDABDD")
         ep = Episode.from_symbols("AB", alpha)
@@ -507,7 +502,7 @@ class TestShardedDatabaseAxisCarry:
 
     def test_repeated_symbol_matrices_database_axis(self):
         """Raw matrices (repeated symbols) through the carry split."""
-        engine = ShardedEngine(workers=4, min_shard_work=0, axis="database")
+        engine = ShardedEngine(workers=4, min_shard_work=0)
         rng = np.random.default_rng(43)
         db = rng.integers(0, 4, 300).astype(np.uint8)
         matrix = np.array([[0, 0, 1], [2, 2, 2]], dtype=np.uint8)
@@ -519,12 +514,11 @@ class TestShardedDatabaseAxisCarry:
             ref = count_matrix_reference(db, matrix, policy, w)
             assert np.array_equal(got, ref), policy
 
-    def test_auto_axis_prefers_database_for_narrow_batches(self):
+    def test_axis_prefers_database_for_narrow_batches(self):
         engine = ShardedEngine(workers=4)
         assert engine._pick_axis(n_eps=2) == "database"
+        assert engine._pick_axis(n_eps=4) == "episode"
         assert engine._pick_axis(n_eps=100) == "episode"
-        pinned = ShardedEngine(workers=4, axis="episode")
-        assert pinned._pick_axis(n_eps=2) == "episode"
 
 
 class TestShardedRunScope:
@@ -715,11 +709,17 @@ class TestShardTasks:
         (MatchPolicy.SUBSEQUENCE, None),
         (MatchPolicy.EXPIRING, 4),
     ])
+    @pytest.mark.parametrize("rows", [
+        None,  # the level-2 grid of the workload
+        # repeated symbols and duplicate rows: the worker's trie rebuild
+        # shares terminals, and every slot must still come back in order
+        [[2, 2, 0], [0, 1, 0], [2, 2, 0], [4, 4, 4], [0, 1, 0], [1, 3, 3]],
+    ])
     def test_summary_shards_compose_to_whole_count(
-        self, workload, policy, window
+        self, workload, policy, window, rows
     ):
         _, db, trie = workload
-        matrix = trie.matrix
+        matrix = trie.matrix if rows is None else np.array(rows, np.uint8)
         bounds = segment_bounds(db.size, 4)
         summaries = [
             _run_shard(_SummaryShard(db[lo:hi], matrix, policy, window, lo))
@@ -799,7 +799,6 @@ class TestMapperExceptionPropagation:
         try:
             engine = ShardedEngine(
                 inner="test-worker-exploder", workers=2, min_shard_work=0,
-                axis="episode",
             )
             db = np.random.default_rng(51).integers(0, 5, 300).astype(np.uint8)
             eps = generate_level(Alphabet.of_size(5), 2)

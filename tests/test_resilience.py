@@ -35,7 +35,7 @@ ALPHA = Alphabet.of_size(6)
 
 #: six length-2 episodes with six distinct first symbols — six root
 #: subtrees, so three workers get three subtree shards on the episode
-#: axis (n_eps >= workers keeps axis="auto" on the episode split)
+#: axis (n_eps >= workers keeps the batch on the episode split)
 MATRIX = np.array(
     [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]], dtype=np.uint8
 )
@@ -109,12 +109,17 @@ class TestSupervisedShards:
         assert "pool-respawn" in kinds(engine.events)
 
     def test_worker_crash_database_carry_exact(self):
+        # two episodes for three workers: narrower than the pool, so the
+        # batch takes the database axis (one summary shard per segment)
         db = make_db(seed=13)
-        engine = fresh_engine(axis="database")
-        expected = oracle(db, MatchPolicy.EXPIRING, window=4)
+        engine = fresh_engine()
+        narrow = CandidateTrie.from_matrix(MATRIX[:2])
+        expected = get_engine("scalar-oracle").count_batch(
+            db, narrow, ALPHA.size, MatchPolicy.EXPIRING, 4
+        )
         with faults.inject(FaultPlan(shard_faults={1: ShardFault("crash")})):
             with engine:
-                got = engine.count_batch(db, TRIE, ALPHA.size,
+                got = engine.count_batch(db, narrow, ALPHA.size,
                                    MatchPolicy.EXPIRING, window=4)
         np.testing.assert_array_equal(got, expected)
         assert "pool-respawn" in kinds(engine.events)

@@ -9,22 +9,30 @@ from repro.errors import ValidationError
 from repro.mining.alphabet import Alphabet, UPPERCASE
 from repro.mining.candidates import generate_level
 from repro.mining.counting import (
+    _NEG,
     count_batch,
     count_batch_reference,
+    resume_expiring_batch,
     resume_subsequence_batch,
 )
 from repro.mining.episode import Episode
 from repro.mining.policies import MatchPolicy
 from repro.mining.spanning import (
+    ExpiringSummary,
+    advance_expiring,
+    advance_subsequence,
     compose_expiring,
     compose_subsequence,
     count_segmented,
     expiring_segment_summary,
-    hop_expiring_summary,
-    hop_subsequence_resume,
-    hop_subsequence_summary,
     segment_bounds,
     subsequence_segment_summary,
+)
+from repro.mining.trie import (
+    CandidateTrie,
+    expiring_summary_trie,
+    resume_positions_trie,
+    subsequence_summary_trie,
 )
 
 
@@ -303,86 +311,126 @@ class TestPropertyBased:
         assert int(unfixed.totals[0]) <= exact
 
 
-def _hop_case(data, n):
-    """Random (db, matrix) pair for hop-vs-sweep parity checks.
+def _trie_case(data, n):
+    """Random (db, trie) pair for trie-walk-vs-sweep parity checks.
 
-    Repeated symbols within an episode are deliberately allowed — the
-    position-hop chain must handle them exactly like the sweep does.
+    Covers the inputs the windowed fold and the summary shards see:
+    empty segments (the db length may be 0), single-symbol episodes
+    (L = 1), repeated symbols within an episode and duplicate matrix
+    rows, which share one trie terminal but keep their own slots.
     """
     length = data.draw(st.integers(0, 200))
     seed = data.draw(st.integers(0, 10_000))
     db = np.random.default_rng(seed).integers(0, n, length).astype(np.uint8)
-    ep_len = data.draw(st.integers(1, 3))
+    ep_len = data.draw(st.integers(1, 4))
     eps = data.draw(
         st.lists(
             st.lists(
                 st.integers(0, n - 1), min_size=ep_len, max_size=ep_len
             ).map(tuple),
-            min_size=1, max_size=5, unique=True,
+            min_size=1, max_size=6,
         )
     )
-    matrix = np.array(eps, dtype=np.uint8)
-    return db, matrix
+    dups = data.draw(st.lists(st.sampled_from(eps), max_size=3))
+    rows = data.draw(st.permutations(eps + dups))
+    matrix = np.array(rows, dtype=np.uint8)
+    return db, matrix, CandidateTrie.from_matrix(matrix)
 
 
-class TestPositionHopParity:
-    """The position-hop resume primitives (PR 9's streaming chunk
-    advance) are bit-identical to the per-character sweeps they
-    replace — counts AND carried exit state, for any entry state."""
+class TestTrieWalkParity:
+    """The trie walks that serve every position-hop summary and resume
+    (landmark chunk advance, windowed fold, sharded summary shards) are
+    bit-identical to the per-character sweeps — counts AND carried exit
+    state, for any entry state."""
 
-    @given(data=st.data(), n=st.integers(3, 6))
-    @settings(max_examples=50, deadline=None)
-    def test_hop_resume_matches_subsequence_sweep(self, data, n):
-        db, matrix = _hop_case(data, n)
+    @given(data=st.data(), n=st.integers(2, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_resume_matches_subsequence_sweep(self, data, n):
+        db, matrix, trie = _trie_case(data, n)
         n_eps, length = matrix.shape
         entry = np.array(
-            data.draw(
-                st.lists(
-                    st.integers(0, length - 1),
-                    min_size=n_eps, max_size=n_eps,
-                )
-            ),
+            data.draw(st.lists(st.integers(0, length - 1),
+                               min_size=n_eps, max_size=n_eps)),
             dtype=np.int64,
         )
         ref_counts, ref_exits = resume_subsequence_batch(db, matrix, entry)
-        counts, exits = hop_subsequence_resume(db, matrix, entry)
+        counts, exits = resume_positions_trie(
+            db, trie, MatchPolicy.SUBSEQUENCE, None, entry
+        )
         np.testing.assert_array_equal(counts, ref_counts)
         np.testing.assert_array_equal(exits, ref_exits)
 
-    @given(data=st.data(), n=st.integers(3, 6))
-    @settings(max_examples=40, deadline=None)
-    def test_hop_summary_matches_subsequence_sweep(self, data, n):
-        db, matrix = _hop_case(data, n)
+    @given(data=st.data(), n=st.integers(2, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_summary_matches_subsequence_sweep(self, data, n):
+        db, matrix, trie = _trie_case(data, n)
         ref = subsequence_segment_summary(db, matrix)
-        hop = hop_subsequence_summary(db, matrix)
-        np.testing.assert_array_equal(hop.counts, ref.counts)
-        np.testing.assert_array_equal(hop.exits, ref.exits)
+        got = subsequence_summary_trie(db, trie)
+        np.testing.assert_array_equal(got.counts, ref.counts)
+        np.testing.assert_array_equal(got.exits, ref.exits)
 
-    @given(data=st.data(), n=st.integers(3, 6))
-    @settings(max_examples=40, deadline=None)
-    def test_hop_summary_matches_expiring_sweep(self, data, n):
-        db, matrix = _hop_case(data, n)
-        window = data.draw(st.integers(1, 6))
-        t0 = data.draw(st.integers(0, 50))
+    @given(data=st.data(), n=st.integers(2, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_summary_matches_expiring_sweep(self, data, n):
+        db, matrix, trie = _trie_case(data, n)
+        window = data.draw(st.integers(1, 8))
+        t0 = data.draw(st.integers(0, 1000))
         ref = expiring_segment_summary(db, matrix, window, t0)
-        hop = hop_expiring_summary(db, matrix, window, t0)
-        np.testing.assert_array_equal(hop.counts, ref.counts)
-        np.testing.assert_array_equal(hop.exit_times, ref.exit_times)
+        counts, exit_times = expiring_summary_trie(db, trie, window, t0)
+        np.testing.assert_array_equal(counts, ref.counts)
+        np.testing.assert_array_equal(exit_times, ref.exit_times)
 
-    @given(data=st.data(), n=st.integers(3, 6))
+    @given(data=st.data(), n=st.integers(2, 6))
     @settings(max_examples=40, deadline=None)
-    def test_hop_resume_composes_across_a_split(self, data, n):
-        """Chunk composition through the hop path equals the whole-db
-        count: segment 1 from the zero state, segment 2 resumed from
-        segment 1's exits."""
-        db, matrix = _hop_case(data, n)
+    def test_subsequence_composes_across_a_split(self, data, n):
+        """The windowed fold's two shapes chained over one cut: a trie
+        resume of the front piece, then the trie summary of the rest
+        advanced from its exits, equal the whole-database count."""
+        db, matrix, trie = _trie_case(data, n)
         cut = data.draw(st.integers(0, db.size))
-        first, rest = db[:cut], db[cut:]
-        c1, exits = hop_subsequence_resume(
-            first, matrix, np.zeros(matrix.shape[0], dtype=np.int64)
+        zero = np.zeros(matrix.shape[0], dtype=np.int64)
+        c1, exits = resume_positions_trie(
+            db[:cut], trie, MatchPolicy.SUBSEQUENCE, None, zero
         )
-        c2, _ = hop_subsequence_resume(rest, matrix, exits)
-        whole, _ = resume_subsequence_batch(
-            db, matrix, np.zeros(matrix.shape[0], dtype=np.int64)
+        c2, _ = advance_subsequence(
+            subsequence_summary_trie(db[cut:], trie), exits
         )
+        whole, _ = resume_subsequence_batch(db, matrix, zero)
         np.testing.assert_array_equal(c1 + c2, whole)
+
+    @given(data=st.data(), n=st.integers(2, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_expiring_composes_across_a_split(self, data, n):
+        db, matrix, trie = _trie_case(data, n)
+        window = data.draw(st.integers(1, 8))
+        cut = data.draw(st.integers(0, db.size))
+        empty = np.full((matrix.shape[0], matrix.shape[1] + 1), _NEG,
+                        dtype=np.int64)
+        c1, times = resume_positions_trie(
+            db[:cut], trie, MatchPolicy.EXPIRING, window, empty
+        )
+        counts, exit_times = expiring_summary_trie(db[cut:], trie, window, cut)
+        c2, _ = advance_expiring(
+            db[cut:], matrix, window, times, cut,
+            ExpiringSummary(counts=counts, exit_times=exit_times),
+        )
+        whole, _ = resume_expiring_batch(db, matrix, window, empty)
+        np.testing.assert_array_equal(c1 + c2, whole)
+
+    @pytest.mark.parametrize("db,rows", [
+        ([], [[0, 1], [1, 0]]),  # empty segment
+        ([0, 1, 0, 0, 1, 1], [[0], [1], [0]]),  # L = 1, duplicate row
+        ([0, 0, 1, 0, 0, 0, 1], [[0, 0, 1], [0, 0, 1], [0, 0, 0]]),
+    ])
+    def test_edge_cases_match_the_sweeps(self, db, rows):
+        db = np.array(db, dtype=np.uint8)
+        matrix = np.array(rows, dtype=np.uint8)
+        trie = CandidateTrie.from_matrix(matrix)
+        ref = subsequence_segment_summary(db, matrix)
+        got = subsequence_summary_trie(db, trie)
+        np.testing.assert_array_equal(got.counts, ref.counts)
+        np.testing.assert_array_equal(got.exits, ref.exits)
+        ref_e = expiring_segment_summary(db, matrix, 2, 5)
+        counts, exit_times = expiring_summary_trie(db, trie, 2, 5)
+        np.testing.assert_array_equal(counts, ref_e.counts)
+        np.testing.assert_array_equal(exit_times, ref_e.exit_times)

@@ -607,14 +607,14 @@ class TestResumePositionsTrie:
                 total += inc
             np.testing.assert_array_equal(total, ref)
 
-    def test_expiring_summary_trie_matches_hop_summary(self):
-        from repro.mining.spanning import hop_expiring_summary
+    def test_expiring_summary_trie_matches_sweep_summary(self):
+        from repro.mining.spanning import expiring_segment_summary
         from repro.mining.trie import expiring_summary_trie
 
         eps = generate_level(ALPHA, 2)
         trie = CandidateTrie.from_episodes(eps)
         db = self._db(47)
-        ref = hop_expiring_summary(db, trie.matrix, 3, t0=17)
+        ref = expiring_segment_summary(db, trie.matrix, 3, t0=17)
         counts, exit_times = expiring_summary_trie(db, trie, 3, t0=17)
         np.testing.assert_array_equal(counts, ref.counts)
         np.testing.assert_array_equal(exit_times, ref.exit_times)
