@@ -42,10 +42,13 @@ events/sec columns quantify the carry's win.
 The ``windowed_fold`` series (schema 10) streams seeded SUBSEQUENCE
 and EXPIRING feeds through the windowed
 :class:`~repro.streaming.StreamingMiner` (alphabet 8, horizon 8,192,
-1,024-event chunks, levels <= 3): the decremental fold over cached
-per-segment trie summaries.  Each row checks its final result against
-batch-mining the trailing horizon (``counts_identical``); its timings
-are advisory and no gate reads them.  ``sharded_scaling`` rows record
+levels <= 3): the decremental fold over cached per-segment trie
+summaries.  Schema 11 adds 1,000-event chunk rows beside the
+1,024-event ones: 1,000 does not divide the horizon, so every slide
+also resumes the partial front piece through ``resume_batch``.  Each
+row checks its final result against batch-mining the trailing horizon
+(``counts_identical``); its timings are advisory and no gate reads
+them.  ``sharded_scaling`` rows record
 the host's ``nproc`` beside the pinned ``workers``.
 
 The ``telemetry_overhead`` series (schema 8) times the same auto-engine
@@ -82,8 +85,9 @@ SRC = Path(__file__).parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-SCHEMA = 10  # 10: windowed_fold series; sharded_scaling rows record
-# nproc (9: every series counts tries; trie_batch checks against
+SCHEMA = 11  # 11: windowed_fold rows at a chunk size that does not
+# divide the horizon (10: windowed_fold series; sharded_scaling rows
+# record nproc; 9: every series counts tries; trie_batch checks against
 # vector-sweep; 8: telemetry_overhead series gates the repro.obs
 # recorder cost; 7: streaming position-hop chunk resume; 6: trie_batch)
 DEFAULT_OUT = Path(__file__).parent / "BENCH_engines.json"
@@ -607,11 +611,12 @@ def run_streaming_throughput(
 
 
 #: windowed_fold series parameters: the decremental sliding-window fold
-#: over SUBSEQUENCE/EXPIRING, a window of eight chunk segments slid
-#: eight times
+#: over SUBSEQUENCE/EXPIRING, a window of about eight chunk segments
+#: slid about eight times; 1,024 divides the horizon (the window always
+#: starts on a segment), 1,000 does not (a partial front piece)
 WINDOWED_ALPHABET = 8
 WINDOWED_HORIZON = 8_192
-WINDOWED_CHUNK_EVENTS = 1_024
+WINDOWED_CHUNK_SIZES = (1_024, 1_000)
 WINDOWED_CHUNKS = 16
 WINDOWED_MAX_LEVEL = 3
 WINDOWED_POLICIES = (("subsequence", None), ("expiring", 6))
@@ -619,7 +624,7 @@ WINDOWED_POLICIES = (("subsequence", None), ("expiring", 6))
 
 def run_windowed_fold(
     n_chunks: int = WINDOWED_CHUNKS,
-    chunk_events: int = WINDOWED_CHUNK_EVENTS,
+    chunk_sizes: "tuple[int, ...]" = WINDOWED_CHUNK_SIZES,
     horizon: int = WINDOWED_HORIZON,
     threshold: float = STREAM_THRESHOLD,
     max_level: int = WINDOWED_MAX_LEVEL,
@@ -629,13 +634,15 @@ def run_windowed_fold(
 ) -> "list[dict]":
     """Windowed SUBSEQUENCE/EXPIRING streams through the segment fold.
 
-    One seeded drifting feed per policy, consumed by a windowed
-    :class:`~repro.streaming.StreamingMiner`: each chunk caches the
-    trie summaries of its new segment and composes the window from
-    them.  ``seconds`` is the best of ``repeats`` whole streams.  The
-    final result is checked against batch-mining the trailing horizon
-    (``checksum`` vs ``batch_checksum``); the timings are advisory
-    (no gate reads them), the row exists to time this path.
+    One seeded drifting feed per policy and chunk size, consumed by a
+    windowed :class:`~repro.streaming.StreamingMiner`: each chunk
+    caches the trie summaries of its new segment and composes the
+    window from them (resuming a partial front piece when the chunk
+    size does not divide the horizon).  ``seconds`` is the best of
+    ``repeats`` whole streams.  The final result is checked against
+    batch-mining the trailing horizon (``checksum`` vs
+    ``batch_checksum``); the timings are advisory (no gate reads them),
+    the row exists to time this path.
     """
     import time
 
@@ -649,49 +656,51 @@ def run_windowed_fold(
     if n_chunks < 1:
         return rows
     for policy_value, window in WINDOWED_POLICIES:
-        policy = MatchPolicy(policy_value)
-        source = SyntheticStreamSource(
-            n_chunks, chunk_events, alphabet=alphabet, seed=seed, drift=drift
-        )
-        best = float("inf")
-        for _ in range(max(1, int(repeats))):
-            miner = StreamingMiner(
-                alphabet, threshold=threshold, policy=policy, window=window,
-                engine="auto", mode="windowed", horizon=horizon,
-                max_level=max_level,
+        for chunk_events in chunk_sizes:
+            policy = MatchPolicy(policy_value)
+            source = SyntheticStreamSource(
+                n_chunks, chunk_events, alphabet=alphabet, seed=seed,
+                drift=drift,
             )
-            t0 = time.perf_counter()
-            miner.consume(source)
-            best = min(best, time.perf_counter() - t0)
-        trailing = np.concatenate(list(source.chunks()))[-horizon:]
-        batch = FrequentEpisodeMiner(
-            alphabet, threshold=threshold, policy=policy, window=window,
-            engine="auto", max_level=max_level,
-        ).mine(trailing)
-        frequent = miner.result().all_frequent
-        row = {
-            "policy": policy_value,
-            "window": window,
-            "alphabet": WINDOWED_ALPHABET,
-            "horizon": horizon,
-            "chunks": n_chunks,
-            "chunk_events": chunk_events,
-            "max_level": max_level,
-            "threshold": threshold,
-            "seconds": round(best, 6),
-            "chunk_ms": round(best * 1e3 / n_chunks, 3),
-            "n_frequent": len(frequent),
-            "checksum": int(sum(frequent.values())),
-            "batch_checksum": int(sum(batch.all_frequent.values())),
-            "counts_identical": frequent == batch.all_frequent,
-        }
-        rows.append(row)
-        print(
-            f"windowed_fold {policy_value:12s} {n_chunks} x "
-            f"{chunk_events:,} events, horizon {horizon:,}: "
-            f"{row['chunk_ms']:8.2f} ms/chunk ({row['n_frequent']} "
-            f"frequent, identical to batch={row['counts_identical']})"
-        )
+            best = float("inf")
+            for _ in range(max(1, int(repeats))):
+                miner = StreamingMiner(
+                    alphabet, threshold=threshold, policy=policy,
+                    window=window, engine="auto", mode="windowed",
+                    horizon=horizon, max_level=max_level,
+                )
+                t0 = time.perf_counter()
+                miner.consume(source)
+                best = min(best, time.perf_counter() - t0)
+            trailing = np.concatenate(list(source.chunks()))[-horizon:]
+            batch = FrequentEpisodeMiner(
+                alphabet, threshold=threshold, policy=policy, window=window,
+                engine="auto", max_level=max_level,
+            ).mine(trailing)
+            frequent = miner.result().all_frequent
+            row = {
+                "policy": policy_value,
+                "window": window,
+                "alphabet": WINDOWED_ALPHABET,
+                "horizon": horizon,
+                "chunks": n_chunks,
+                "chunk_events": chunk_events,
+                "max_level": max_level,
+                "threshold": threshold,
+                "seconds": round(best, 6),
+                "chunk_ms": round(best * 1e3 / n_chunks, 3),
+                "n_frequent": len(frequent),
+                "checksum": int(sum(frequent.values())),
+                "batch_checksum": int(sum(batch.all_frequent.values())),
+                "counts_identical": frequent == batch.all_frequent,
+            }
+            rows.append(row)
+            print(
+                f"windowed_fold {policy_value:12s} {n_chunks} x "
+                f"{chunk_events:,} events, horizon {horizon:,}: "
+                f"{row['chunk_ms']:8.2f} ms/chunk ({row['n_frequent']} "
+                f"frequent, identical to batch={row['counts_identical']})"
+            )
     return rows
 
 

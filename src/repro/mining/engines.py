@@ -72,9 +72,13 @@ once, at the public edges: :func:`repro.mining.counting.count_batch`,
   fingerprint, so in-place mutation of a database array rebuilds
   instead of silently serving stale counts) and routing every batch
   through a content-addressed :class:`~repro.mining.trie.CountCache`
-  keyed by ``(db_fingerprint, episode, policy, window)``, so repeated
-  counts (across levels, pipeline speculation, streaming backfill)
-  dedupe to zero engine calls on a full hit.
+  keyed by ``(db_fingerprint, episode, policy, window)``, so only a
+  count repeated against an identical database (re-mining the same
+  data with the same bound engine) is served without an engine call.
+  Within one mining run every level counts different candidates, so
+  the cache never hits there (a level-4 batch mine records thousands
+  of misses and zero hits); the pipelined and streaming miners call
+  ``count_batch`` directly.
 
 Engine lifecycle
 ----------------
@@ -319,10 +323,9 @@ class BoundEngine:
     Every batch routes through a per-binding content-addressed
     :class:`~repro.mining.trie.CountCache` (keyed by
     ``(db_fingerprint, episode, policy, window)``): episodes re-counted
-    against an identical database — repeated level counts, pipeline
-    speculation overlap, streaming promotion backfill — are served from
-    the cache, and a fully repeated ``(db, episode set)`` count makes
-    zero engine calls.  Exact by construction: the key captures every
+    against an identical database — the same data mined again with
+    this binding — are served from the cache, and a fully repeated
+    ``(db, episode set)`` count makes zero engine calls.  Exact by construction: the key captures every
     input the count depends on.
     """
 

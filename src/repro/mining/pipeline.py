@@ -39,7 +39,6 @@ from repro.mining.candidates import (
 from repro.mining.engines import CountingEngine, get_engine
 from repro.mining.miner import LevelResult, MiningResult, eliminate_level
 from repro.mining.policies import MatchPolicy
-from repro.mining.trie import CountCache, cached_count_batch
 from repro.algos.base import MiningProblem
 from repro.algos.registry import get_algorithm
 from repro.algos.selector import AdaptiveSelector
@@ -111,10 +110,6 @@ class PipelinedMiner:
         self.concurrent_kernels = concurrent_kernels
         self.max_speculative = max_speculative
         self._engine = get_engine(engine)
-        # content-addressed count dedupe for the sequential continuation
-        # (a level re-counted against an unchanged database — e.g. a
-        # re-mined run — costs zero engine calls)
-        self._count_cache = CountCache()
         self._sim = GpuSimulator(device)
         self._selector = AdaptiveSelector(device)
 
@@ -208,12 +203,10 @@ class PipelinedMiner:
                     )
                     if not candidates:
                         break
-                    # candidates is a CandidateTrie: count it batched,
-                    # deduped through the content-addressed cache (the
-                    # engine's run scope is held by the with block)
-                    counts = cached_count_batch(
-                        self._engine, db, candidates, self.alphabet.size,
-                        MatchPolicy.RESET, cache=self._count_cache,
+                    # one batched engine call per level (the engine's
+                    # run scope is held by the with block)
+                    counts = self._engine.count_batch(
+                        db, candidates, self.alphabet.size, MatchPolicy.RESET
                     )
                     result, frequent = eliminate_level(
                         level, candidates, counts, n, self.threshold

@@ -40,12 +40,11 @@ these walks.
 ``(db_fingerprint, episode items, policy, window)`` — the PR 3
 fingerprint machinery — so a count is a pure function of its key and
 cached values can never go stale.  :func:`cached_count_batch` is the
-shared entry point (``BoundEngine``, the pipelined continuation, and
-the streaming backfill all route through it): cache hits are served
-without touching the engine, misses are batched into *one* engine
-``count_batch`` call (rebuilt as a trie to keep prefix sharing), and a
-fully-hit repeat of a ``(db, episode set)`` count makes zero engine
-calls.
+entry point ``BoundEngine`` (the batch miner's counting callable)
+routes through: cache hits are served without touching the engine,
+misses are batched into *one* engine ``count_batch`` call (rebuilt as
+a trie to keep prefix sharing), and a fully-hit repeat of a
+``(db, episode set)`` count makes zero engine calls.
 """
 
 from __future__ import annotations

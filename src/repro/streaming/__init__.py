@@ -27,10 +27,11 @@ only the symbols it needs, batched across sibling episodes through the
 candidate trie so shared prefixes share hop chains
 (:func:`~repro.mining.trie.resume_positions_trie`, reached via the
 engine's ``resume_batch``).  RESET — whose occurrences never span more
-than a chunk seam — instead engine-counts the chunk standalone (any
-:mod:`repro.mining.engines` REGISTRY engine, dispatched by the same
-fixed rule as in batch mining) and replays the boundary window
-(the last ``L-1`` retained events against the chunk head).  Either
+than a chunk seam — instead counts the chunk standalone with the
+engine's ``count_batch`` (any :mod:`repro.mining.engines` REGISTRY
+engine, dispatched by the same fixed rule as in batch mining) and
+replays the boundary window (the last ``L-1`` retained events against
+the chunk head).  Either
 way the exit state persisted in the
 :class:`~repro.streaming.store.EpisodeStateStore` is bit-identical to
 the scalar FSM having run the whole prefix, so per-chunk interpreter
@@ -47,13 +48,14 @@ threshold).  ``retention=N`` bounds landmark memory to the trailing
 ``N`` events: carried counts stay exact forever, and episodes promoted
 after the cap binds backfill exact *lower bounds* over the retained
 suffix.  ``mode="windowed"`` counts over the trailing ``horizon``
-events only, as an **exact decremental sliding window**: each
-window-resident chunk segment's behaviour is summarized once (cached
-per level), expired segments retire with their summaries, and every
-update folds the cached summaries left-to-right — recounting afresh
-only the shrinking front partial segment and the new chunk, with
-updates that leave the window contents unchanged (size-0 chunks
-included) short-circuiting to the previous result.  Results equal
+events only, as an **exact sliding window**.  RESET counts the window
+buffer with one engine ``count_batch`` per level.  SUBSEQUENCE/EXPIRING
+slide decrementally: each window-resident chunk segment's behaviour is
+summarized once (cached per level), expired segments retire with their
+summaries, and every update folds the cached summaries left-to-right —
+recounting afresh only the shrinking front partial segment and the new
+chunk.  Updates that leave the window contents unchanged (size-0
+chunks included) short-circuit to the previous result.  Results equal
 batch mining of the window buffer, event for event — the right mode
 when old events must stop influencing the frequent set (drift) or
 memory must stay bounded.

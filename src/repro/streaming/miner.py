@@ -17,13 +17,16 @@ recounting the prefix.  Per chunk it:
    the lazy promotion/demotion that keeps the tracked set equal to the
    batch miner's candidate sets at all times.
 
-Windowed mode is an *exact decremental sliding window*: the trailing
-``horizon`` events are kept as the arriving chunk segments, each full
-segment's behaviour is summarized once (trie-walk segment summaries,
-cached per segment per level) and the window count is the left-to-right
+Windowed mode is an *exact sliding window* over the trailing
+``horizon`` events, kept as the arriving chunk segments.  RESET counts
+the window buffer with one engine ``count_batch`` per level (one
+data-parallel n-gram pass, cheaper than any seam bookkeeping).
+SUBSEQUENCE/EXPIRING fold it decrementally: each full segment's
+behaviour is summarized once (trie-walk segment summaries, cached per
+segment per level) and the window count is the left-to-right
 composition of the partial front segment plus the cached summaries —
-so a windowed update costs work proportional to the chunk, not the
-horizon, while staying bit-identical to batch-mining the window buffer.
+so an update costs work proportional to the chunk, not the horizon.
+Both stay bit-identical to batch-mining the window buffer.
 
 Landmark mode optionally bounds memory: with ``retention`` set, only
 the trailing ``retention`` events of the prefix are kept for promotion
@@ -68,12 +71,13 @@ from repro.mining.spanning import (
     ExpiringSummary,
     advance_expiring,
     advance_subsequence,
-    count_starts_in,
 )
+# uncalled: perfbench/layers.py SITES pins it (install() reads vars(module)[attr]); ROADMAP item 2 drops it
+from repro.mining.spanning import count_starts_in
+# uncalled: perfbench/layers.py SITES pins it (install() reads vars(module)[attr]); ROADMAP item 2 drops it
+from repro.mining.trie import cached_count_batch
 from repro.mining.trie import (
     CandidateTrie,
-    CountCache,
-    cached_count_batch,
     expiring_summary_trie,
     subsequence_summary_trie,
 )
@@ -180,8 +184,9 @@ class StreamingMiner:
     ``mode`` selects the window semantics (documented in
     :mod:`repro.streaming`): ``"landmark"`` counts over the entire
     stream since the first chunk, carrying state incrementally;
-    ``"windowed"`` counts over the trailing ``horizon`` events via the
-    decremental segment-summary fold.  ``retention`` (landmark only)
+    ``"windowed"`` counts over the trailing ``horizon`` events (RESET
+    recounts the window buffer; SUBSEQUENCE/EXPIRING fold cached
+    segment summaries).  ``retention`` (landmark only)
     caps the retained backfill prefix at the trailing ``retention``
     events; carried counts stay exact, promotion backfill over the
     capped prefix yields exact lower bounds.
@@ -249,14 +254,8 @@ class StreamingMiner:
         self.exhaustive_candidates = exhaustive_candidates
         self.retention = retention
         self._engine = get_engine(engine or "auto")
-        # content-addressed count dedupe for the engine hook: promotion
-        # backfills over an unchanged retained prefix hit the cache
-        # instead of re-dispatching the engine
-        self._count_cache = CountCache()
         self._store = EpisodeStateStore(
-            alphabet.size, policy, window, max_level,
-            self._count_with_engine,
-            resume_chunk=self._engine.resume_batch,
+            alphabet.size, policy, window, max_level, self._engine
         )
         #: landmark mode: retained prefix (trailing `retention` events
         #: once the cap binds, the whole prefix otherwise)
@@ -264,7 +263,8 @@ class StreamingMiner:
         #: windowed mode: window-resident chunk segments, oldest first
         self._segments: "list[_Segment]" = []
         self._next_sid = 0
-        #: per-level cached segment summaries for the decremental fold
+        #: per-level cached segment summaries for the SUBSEQUENCE /
+        #: EXPIRING decremental fold
         self._win_cache: "dict[int, dict]" = {}
         #: window contents after the last recompute (no-op short-circuit)
         self._win_prev: "np.ndarray | None" = None
@@ -279,7 +279,7 @@ class StreamingMiner:
         self.recorder = recorder
         #: which update path the last chunk took, for the chunk span:
         #: "incremental" (landmark carry), "short-circuit" (windowed
-        #: no-op slide), or "recount" (windowed decremental fold)
+        #: no-op slide), or "recount" (windowed window count)
         self._last_path = ""
         #: supervision events accumulated across the whole stream (the
         #: engine's list resets per run scope; reports want all of them)
@@ -319,7 +319,6 @@ class StreamingMiner:
             rec,
             command="stream",
             degradation_events=tuple(self._sup_events),
-            cache=self._count_cache.stats(),
             calibration=calibration_provenance(),
             meta={
                 "engine": getattr(
@@ -571,31 +570,6 @@ class StreamingMiner:
             return chunk.astype(np.uint8)
         return self.alphabet.validate_database(chunk)
 
-    def _count_with_engine(
-        self, db: np.ndarray, batch: "CandidateTrie | np.ndarray"
-    ) -> np.ndarray:
-        """The store's counting hook: one engine dispatch, RESET policy.
-
-        (SUBSEQUENCE/EXPIRING chunk advance hop-resumes through the
-        engine's ``resume_batch`` — the engine count hook covers RESET
-        chunks and backfills.)  Dispatches through the
-        content-addressed count cache so promotion backfills over an
-        unchanged retained prefix — an episode demoted and re-promoted,
-        or overlapping retrack sets — dedupe to zero engine calls; keys
-        carry the database fingerprint, so every new chunk/prefix is a
-        clean miss, never a stale hit.  The caller (update/backfill
-        path) holds the engine's run scope.
-        """
-        return cached_count_batch(
-            self._engine,
-            db,
-            batch,
-            self.alphabet.size,
-            MatchPolicy.RESET,
-            None,
-            cache=self._count_cache,
-        )
-
     def _next_candidates(
         self, level: int, frequent: "tuple[Episode, ...]"
     ) -> CandidateTrie:
@@ -708,7 +682,8 @@ class StreamingMiner:
         return max(0, self._total - int(self.horizon))
 
     def _window_contents(self) -> np.ndarray:
-        """Materialize the trailing window (checkpoints / no-op check)."""
+        """Materialize the trailing window (checkpoints, the no-op
+        check, the RESET count)."""
         if not self._segments:
             return np.zeros(0, dtype=np.uint8)
         lo = self._window_lo()
@@ -720,14 +695,15 @@ class StreamingMiner:
     def _update_windowed(
         self, chunk: np.ndarray
     ) -> "tuple[tuple[Episode, ...], tuple[Episode, ...]]":
-        """Decremental slide: admit the chunk, retire expired segments,
-        recount only if the window contents actually changed.
+        """Slide: admit the chunk, retire expired segments, recount
+        only if the window contents actually changed.
 
-        Full segments keep their trie-walk summaries (cached per level
+        RESET counts ``window`` directly.  Under SUBSEQUENCE/EXPIRING
+        full segments keep their trie-walk summaries (cached per level
         in ``_win_cache``), so the recount folds cached summaries and
         only does fresh per-event work on the partial front segment and
-        the new chunk — windowed updates cost work proportional to the
-        chunk, never the horizon.
+        the new chunk — work proportional to the chunk, never the
+        horizon.
         """
         if chunk.size:
             self._segments.append(
@@ -757,19 +733,30 @@ class StreamingMiner:
             self._levels = ()
             return (), ()
         self._last_path = "recount"
-        self._reconcile_windowed(int(window.size))
+        self._reconcile_windowed(window)
         return (), ()
 
-    def _reconcile_windowed(self, n: int) -> None:
-        """The batch miner's level loop over the trailing window, with
-        counts from the decremental segment fold."""
+    def _reconcile_windowed(self, window: np.ndarray) -> None:
+        """The batch miner's level loop over the trailing window.
+
+        RESET counts ``window`` (the window buffer) with one engine
+        ``count_batch`` per level; SUBSEQUENCE/EXPIRING counts come from
+        the decremental segment fold.  The caller holds the engine's
+        run scope.
+        """
         levels: "list[LevelResult]" = []
         candidates = self._next_candidates(1, ())
         level = 1
         while candidates:
-            counts = self._windowed_counts(level, candidates)
+            if self.policy is MatchPolicy.RESET:
+                counts = self._engine.count_batch(
+                    window, candidates, self.alphabet.size,
+                    MatchPolicy.RESET, None,
+                )
+            else:
+                counts = self._windowed_counts(level, candidates)
             result, frequent = eliminate_level(
-                level, candidates, counts, n, self.threshold
+                level, candidates, counts, int(window.size), self.threshold
             )
             levels.append(result)
             if not frequent or level == self.max_level:
@@ -781,7 +768,8 @@ class StreamingMiner:
     def _windowed_counts(
         self, level: int, candidates: CandidateTrie
     ) -> np.ndarray:
-        """Exact counts of ``candidates`` over the trailing window.
+        """Exact SUBSEQUENCE/EXPIRING counts of ``candidates`` over the
+        trailing window.
 
         Left-to-right composition over the window's segments: the
         partial front segment resumes fresh through the engine's
@@ -793,7 +781,8 @@ class StreamingMiner:
         bit-identical to counting the concatenated window (EXPIRING
         composes on the absolute event clock; counts only depend on
         index differences, so they equal the batch count of the window
-        buffer).
+        buffer).  A partial front segment's cached summary is dropped:
+        it is never read again.
         """
         episodes = tuple(candidates)
         matrix = candidates.matrix
@@ -804,8 +793,6 @@ class StreamingMiner:
         summaries = cache["summaries"]
         lo = self._window_lo()
         total = np.zeros(len(episodes), dtype=np.int64)
-        if self.policy is MatchPolicy.RESET:
-            return self._windowed_counts_reset(matrix, total, lo)
         subsequence = self.policy is MatchPolicy.SUBSEQUENCE
         if subsequence:
             state = np.zeros(len(episodes), dtype=np.int64)
@@ -817,6 +804,7 @@ class StreamingMiner:
             t0 = seg.start + offset
             summary = summaries.get(seg.sid)
             if offset:
+                summaries.pop(seg.sid, None)
                 inc, state = self._engine.resume_batch(
                     data, candidates, self.policy, self.window, state, t0=t0
                 )
@@ -846,27 +834,3 @@ class StreamingMiner:
             offset = lo - seg.start if i == 0 and lo > seg.start else 0
             data = seg.data[offset:] if offset else seg.data
             yield seg, data, offset
-
-    def _windowed_counts_reset(
-        self, matrix: np.ndarray, total: np.ndarray, lo: int
-    ) -> np.ndarray:
-        """RESET window count: engine-count each piece standalone (the
-        content-addressed cache dedupes unchanged full segments) plus
-        the boundary-window seam replay between adjacent pieces —
-        exactly the store's chunk-seam decomposition, applied across
-        the window."""
-        length = int(matrix.shape[1])
-        tail = np.zeros(0, dtype=np.uint8)
-        for _seg, data, _offset in self._window_pieces(lo):
-            total += np.asarray(
-                self._count_with_engine(data, matrix), dtype=np.int64
-            )
-            if length > 1 and tail.size and data.size:
-                seam = np.concatenate([tail, data[: length - 1]])
-                total += count_starts_in(
-                    seam, matrix, self.alphabet.size,
-                    start_lo=0, start_hi=int(tail.size),
-                )
-            if length > 1:
-                tail = np.concatenate([tail, data])[-(length - 1):]
-        return total

@@ -12,8 +12,8 @@ Each arriving chunk is treated as the next *segment* of an unbounded
 database and advanced with the segment/state-carry machinery of
 :mod:`repro.mining.spanning` (paper §3.3.3 / Fig. 5, made incremental):
 
-* ``RESET`` — the chunk is counted standalone through the configured
-  counting engine (contiguous occurrences decompose cleanly), plus a
+* ``RESET`` — the chunk is counted standalone by the engine's
+  ``count_batch`` (contiguous occurrences decompose cleanly), plus a
   *boundary-window replay*: the store keeps the last ``L-1`` events of
   the prefix and counts occurrences that start in that tail and finish
   inside the new chunk (:func:`~repro.mining.spanning.count_starts_in`,
@@ -33,26 +33,24 @@ database and advanced with the segment/state-carry machinery of
 
 Tracking is mutable: :meth:`EpisodeStateStore.retrack` promotes newly
 needed candidates (backfilling count and entry state over the retained
-prefix with the resumable sweeps of :mod:`repro.mining.counting`) and
-demotes candidates no longer generated, preserving the carried state of
-every episode that stays tracked.  Under bounded retention the caller
-may pass a *suffix* of the stream as backfill history
-(``history_start > 0``); promoted counts are then exact lower bounds
-(see :meth:`EpisodeStateStore.retrack`).
+prefix through the same engine calls) and demotes candidates no longer
+generated, preserving the carried state of every episode that stays
+tracked.  Under bounded retention the caller may pass a *suffix* of the
+stream as backfill history (``history_start > 0``); promoted counts are
+then exact lower bounds (see :meth:`EpisodeStateStore.retrack`).
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
 from repro.errors import ValidationError
 from repro.mining.counting import _NEG, DatabaseIndex
+from repro.mining.engines import CountingEngine
 from repro.mining.episode import Episode
 from repro.mining.policies import MatchPolicy, validate_window
 from repro.mining.spanning import count_starts_in
-from repro.mining.trie import CandidateTrie, resume_positions_trie
+from repro.mining.trie import CandidateTrie
 
 __all__ = ["EpisodeStateStore", "TrackedLevel"]
 
@@ -101,19 +99,11 @@ class EpisodeStateStore:
         Upper bound on tracked episode length (the miner's
         ``max_level``); sizes the RESET tail buffer (``max_length - 1``
         events).
-    count_chunk:
-        ``(db, batch) -> counts`` callable (``batch`` an episode matrix
-        or a :class:`~repro.mining.trie.CandidateTrie`) used for
-        standalone chunk and backfill counting under RESET — the hook
-        through which the configured counting engine (any REGISTRY
-        engine) does the chunk's pass-1 work.
-    resume_chunk:
-        ``(db, trie, policy, window, state, t0, index) -> (counts,
-        exit_state)`` callable advancing carried SUBSEQUENCE/EXPIRING
-        state through one chunk.  Defaults to
-        :func:`repro.mining.trie.resume_positions_trie`; the miner
-        passes the engine's ``resume_batch`` so dispatch stays an
-        engine concern.
+    engine:
+        The counting engine (any REGISTRY engine).  RESET chunks and
+        backfills go through its ``count_batch``; SUBSEQUENCE/EXPIRING
+        advance and backfill through its ``resume_batch``.  The caller
+        holds the engine's run scope.
     """
 
     def __init__(
@@ -122,8 +112,7 @@ class EpisodeStateStore:
         policy: MatchPolicy,
         window: "int | None",
         max_length: int,
-        count_chunk: "Callable[[np.ndarray, np.ndarray], np.ndarray]",
-        resume_chunk: "Callable[..., tuple[np.ndarray, np.ndarray]] | None" = None,
+        engine: CountingEngine,
     ) -> None:
         validate_window(policy, window)
         if max_length < 1:
@@ -134,10 +123,7 @@ class EpisodeStateStore:
         self.policy = policy
         self.window = window
         self.max_length = max_length
-        self._count_chunk = count_chunk
-        self._resume_chunk = (
-            resume_chunk if resume_chunk is not None else resume_positions_trie
-        )
+        self._engine = engine
         self.levels: "dict[int, TrackedLevel]" = {}
         #: absolute index of the next arriving event
         self.events = 0
@@ -177,12 +163,12 @@ class EpisodeStateStore:
             if self.policy is MatchPolicy.RESET:
                 inc = self._advance_reset(lvl, chunk)
             elif self.policy is MatchPolicy.SUBSEQUENCE:
-                inc, lvl.sub_states = self._resume_chunk(
+                inc, lvl.sub_states = self._engine.resume_batch(
                     chunk, lvl.trie, self.policy, None, lvl.sub_states,
                     t0=t0, index=index,
                 )
             else:
-                inc, lvl.exp_times = self._resume_chunk(
+                inc, lvl.exp_times = self._engine.resume_batch(
                     chunk, lvl.trie, self.policy, int(self.window),
                     lvl.exp_times, t0=t0, index=index,
                 )
@@ -201,9 +187,7 @@ class EpisodeStateStore:
         starts restricted to the tail recovers exactly them (the tail
         is at most ``L-1`` events, so no occurrence fits inside it).
         """
-        # the hook accepts the level's cached trie so prefix sharing and
-        # the content-addressed count cache skip a per-chunk trie build
-        inc = np.asarray(self._count_chunk(chunk, lvl.trie), dtype=np.int64)
+        inc = self._count_reset(chunk, lvl.trie)
         length = lvl.length
         if length > 1 and self._tail.size and chunk.size:
             tail = self._tail[-(length - 1):]
@@ -387,29 +371,32 @@ class EpisodeStateStore:
     ) -> "tuple[np.ndarray, np.ndarray | None]":
         """``(counts, carry_state)`` of fresh episodes over the retained prefix.
 
-        RESET counts go through the configured engine (no per-episode
-        state to rebuild); SUBSEQUENCE/EXPIRING hop-resume from the
-        empty state at ``history_start`` so the exit state lands
-        exactly where the carried episodes already are.  Exact when
-        ``history_start == 0``; an exact lower bound otherwise (see
-        :meth:`retrack`).
+        RESET counts go through the engine's ``count_batch`` (no
+        per-episode state to rebuild); SUBSEQUENCE/EXPIRING resume
+        through its ``resume_batch`` from the empty state at
+        ``history_start`` so the exit state lands exactly where the
+        carried episodes already are.  Exact when ``history_start ==
+        0``; an exact lower bound otherwise (see :meth:`retrack`).
         """
-        if self.policy is MatchPolicy.RESET:
-            counts = np.asarray(
-                self._count_chunk(history, matrix), dtype=np.int64
-            )
-            return counts, None
         trie = CandidateTrie.from_matrix(matrix)
+        if self.policy is MatchPolicy.RESET:
+            return self._count_reset(history, trie), None
         if self.policy is MatchPolicy.SUBSEQUENCE:
-            return self._resume_chunk(
-                history, trie, self.policy, None,
-                np.zeros(matrix.shape[0], dtype=np.int64),
-                t0=int(history_start), index=None,
+            state = np.zeros(matrix.shape[0], dtype=np.int64)
+        else:
+            state = np.full(
+                (matrix.shape[0], matrix.shape[1] + 1), _NEG, dtype=np.int64
             )
-        times = np.full(
-            (matrix.shape[0], matrix.shape[1] + 1), _NEG, dtype=np.int64
+        return self._engine.resume_batch(
+            history, trie, self.policy, self.window, state,
+            t0=int(history_start),
         )
-        return self._resume_chunk(
-            history, trie, self.policy, int(self.window), times,
-            t0=int(history_start), index=None,
+
+    def _count_reset(self, db: np.ndarray, trie: CandidateTrie) -> np.ndarray:
+        """One engine ``count_batch`` of ``trie`` over ``db`` (RESET)."""
+        return np.asarray(
+            self._engine.count_batch(
+                db, trie, self.alphabet_size, MatchPolicy.RESET, None
+            ),
+            dtype=np.int64,
         )

@@ -271,6 +271,8 @@ class TestStreamingTelemetry:
         )
         assert path_total == 4
         assert report.meta["total_events"] == db.size
+        # streams count without a count cache: nothing to report
+        assert report.cache is None
 
     def test_unrecorded_stream_has_no_report(self):
         miner = StreamingMiner(ALPHA, 0.1, max_level=2)

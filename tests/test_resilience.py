@@ -282,11 +282,11 @@ class TestCheckpointResume:
         assert resumed.total_events == full.total_events
         assert resumed.chunk_index == full.chunk_index
 
-    def test_windowed_mode_roundtrip(self, tmp_path):
+    @pytest.mark.parametrize("policy,window", POLICIES)
+    def test_windowed_mode_roundtrip(self, tmp_path, policy, window):
         db = make_db(900, seed=59)
         chunks = self.chunks(db)
-        cfg = self.run_config(MatchPolicy.SUBSEQUENCE, None,
-                              mode="windowed", horizon=300)
+        cfg = self.run_config(policy, window, mode="windowed", horizon=300)
         full = StreamingMiner(ALPHA, 0.03, **cfg)
         killed = StreamingMiner(ALPHA, 0.03, **cfg)
         for chunk in chunks:

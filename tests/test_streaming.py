@@ -19,6 +19,7 @@ from repro import cli
 from repro.data.io import save_database
 from repro.errors import ConfigError, ValidationError
 from repro.mining.alphabet import Alphabet
+from repro.mining.engines import PositionHopEngine, get_engine
 from repro.mining.episode import Episode
 from repro.mining.miner import FrequentEpisodeMiner
 from repro.mining.policies import MatchPolicy
@@ -358,6 +359,65 @@ class TestWindowedMode:
         reference = batch_mine(alphabet, tail, threshold, policy, window)
         assert miner.result().levels == reference.levels
 
+    def test_reset_window_is_one_engine_count_per_level(self):
+        """A windowed RESET update counts the window buffer itself: one
+        ``count_batch`` per counted level, never piece by piece."""
+
+        class SpyEngine(PositionHopEngine):
+            def __init__(self):
+                super().__init__()
+                self.calls = []
+
+            def count_batch(self, db, batch, *args, **kwargs):
+                self.calls.append((np.array(db), args))
+                return super().count_batch(db, batch, *args, **kwargs)
+
+            def resume_batch(self, *args, **kwargs):
+                raise AssertionError("RESET windows never resume")
+
+        rng = np.random.default_rng(17)
+        alphabet = Alphabet.of_size(4)
+        db = rng.integers(0, 4, 900).astype(np.uint8)
+        engine = SpyEngine()
+        miner = StreamingMiner(
+            alphabet, 0.02, engine=engine, mode="windowed", horizon=250,
+            max_level=3,
+        )
+        for chunk in np.array_split(db, 9):  # 100-event chunks
+            engine.calls.clear()
+            miner.update(chunk)
+            window = miner._window_contents()
+            assert len(engine.calls) == len(miner.result().levels)
+            for counted, args in engine.calls:
+                np.testing.assert_array_equal(counted, window)
+                assert args == (alphabet.size, MatchPolicy.RESET, None)
+        reference = batch_mine(
+            alphabet, db[-250:], 0.02, MatchPolicy.RESET, None
+        )
+        assert miner.result().levels == reference.levels
+
+    @pytest.mark.parametrize("policy,window", POLICIES[1:])
+    def test_partial_front_segment_drops_its_summary(self, policy, window):
+        """Once the window starts inside a segment, that segment's
+        cached summary is never read again, so the fold drops it; full
+        segments keep theirs."""
+        rng = np.random.default_rng(23)
+        alphabet = Alphabet.of_size(4)
+        db = rng.integers(0, 4, 1_000).astype(np.uint8)
+        miner = StreamingMiner(
+            alphabet, 0.02, policy=policy, window=window,
+            mode="windowed", horizon=250, max_level=3,
+        )
+        for chunk in np.array_split(db, 10):  # 100-event chunks
+            miner.update(chunk)
+        front, *full = miner._segments
+        assert front.start < miner._window_lo()  # the front is partial
+        assert miner._win_cache
+        for cache in miner._win_cache.values():
+            assert set(cache["summaries"]) == {seg.sid for seg in full}
+        reference = batch_mine(alphabet, db[-250:], 0.02, policy, window)
+        assert miner.result().levels == reference.levels
+
     def test_unchanged_window_short_circuits(self):
         """Size-0 chunks and slides that leave the window contents
         event-for-event identical return the previous counts without
@@ -521,8 +581,7 @@ class TestMineStreamAPI:
 class TestStateStore:
     def make_store(self, policy=MatchPolicy.SUBSEQUENCE, window=None):
         return EpisodeStateStore(
-            4, policy, window, max_length=3,
-            count_chunk=lambda db, m: FrequentEpisodeMiner,  # unused here
+            4, policy, window, max_length=3, engine=get_engine("auto")
         )
 
     def test_retrack_rejects_wrong_history_length(self):
