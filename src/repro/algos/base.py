@@ -32,62 +32,10 @@ from repro.gpu.kernel import Kernel
 from repro.gpu.launch import Dim3, LaunchConfig
 from repro.gpu.memory import DeviceMemory
 from repro.gpu.specs import DeviceSpecs
+from repro.mining.alphabet import check_database, check_episode_codes
 from repro.mining.episode import Episode, episodes_to_matrix
 from repro.mining.policies import MatchPolicy, validate_window
 from repro.mining.trie import CandidateTrie, as_trie
-
-
-def coerce_database(db: np.ndarray, alphabet_size: int) -> np.ndarray:
-    """Validate and stage a database for the uint8 device kernels.
-
-    The simulated kernels hold the database in 1-byte device buffers, so
-    a symbol that does not fit uint8 cannot be staged — it must be
-    rejected, never wrapped modulo 256 (which silently produces wrong
-    counts).  Codes at or beyond ``alphabet_size`` are rejected for the
-    same reason: the RESET n-gram encoding is positional base-N, so an
-    out-of-alphabet code would alias a valid gram.
-    """
-    if alphabet_size < 1:
-        raise ValidationError(f"alphabet_size must be >= 1, got {alphabet_size}")
-    if alphabet_size > 256:
-        raise ValidationError(
-            f"simulated kernels stage the database as uint8; alphabet_size "
-            f"{alphabet_size} exceeds the 256 representable symbols"
-        )
-    db = np.asarray(db)
-    if db.ndim != 1:
-        raise ValidationError(f"database must be 1-D, got shape {db.shape}")
-    if not np.issubdtype(db.dtype, np.integer):
-        raise ValidationError(
-            f"database must be integer-coded, got dtype {db.dtype}"
-        )
-    if db.size:
-        lo, hi = int(db.min()), int(db.max())
-        if lo < 0 or hi >= alphabet_size:
-            raise ValidationError(
-                f"database codes span [{lo}, {hi}], outside the alphabet "
-                f"[0, {alphabet_size}); refusing to truncate to uint8"
-            )
-    return db if db.dtype == np.uint8 else db.astype(np.uint8)
-
-
-def _coerce_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Validate a raw (E, L) episode matrix for the uint8 kernels."""
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or 0 in matrix.shape:
-        raise ValidationError(
-            f"episode matrix must be 2-D and non-empty, got shape {matrix.shape}"
-        )
-    if not np.issubdtype(matrix.dtype, np.integer):
-        raise ValidationError(
-            f"episode matrix must be integer-coded, got dtype {matrix.dtype}"
-        )
-    lo, hi = int(matrix.min()), int(matrix.max())
-    if lo < 0 or hi > 255:
-        raise ValidationError(
-            f"episode codes span [{lo}, {hi}]; must fit uint8"
-        )
-    return matrix if matrix.dtype == np.uint8 else matrix.astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -95,11 +43,16 @@ class MiningProblem:
     """One counting step: database x same-length episode batch.
 
     ``episodes`` is a tuple of :class:`Episode` objects, a raw
-    ``(E, L)`` uint8 matrix — the matrix form admits repeated symbols
+    ``(E, L)`` integer matrix — the matrix form admits repeated symbols
     within a row, which the distinct-item :class:`Episode` type cannot
     express but the counting kernels handle exactly — or a
     :class:`~repro.mining.trie.CandidateTrie`, kept as given so a
     counting engine's batch reaches the kernels without a rebuild.
+
+    Construction is the simulated kernels' validation boundary: the
+    database and episode-code rules of :mod:`repro.mining.alphabet`,
+    plus the uint8 staging bound ``alphabet_size <= 256``; the database
+    and ``matrix`` are then narrowed to uint8 for the device buffers.
     """
 
     db: np.ndarray
@@ -107,29 +60,34 @@ class MiningProblem:
     alphabet_size: int
     policy: MatchPolicy = MatchPolicy.RESET
     window: int | None = None
+    #: the batch as the kernels' uint8 ``(E, L)`` matrix
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        db = np.asarray(self.db)
-        if db.ndim != 1 or db.dtype != np.uint8:
-            raise ValidationError("database must be a 1-D uint8 array")
+        if self.alphabet_size > 256:
+            raise ValidationError(
+                f"simulated kernels stage the database as uint8; alphabet_size "
+                f"{self.alphabet_size} exceeds the 256 representable symbols"
+            )
+        db = check_database(self.db, self.alphabet_size)
         validate_window(self.policy, self.window)
         if isinstance(self.episodes, np.ndarray):
-            object.__setattr__(self, "episodes", _coerce_matrix(self.episodes))
+            matrix = self.episodes
+            if matrix.ndim != 2 or 0 in matrix.shape:
+                raise ValidationError(
+                    "episode matrix must be 2-D and non-empty, got shape "
+                    f"{matrix.shape}"
+                )
         elif isinstance(self.episodes, CandidateTrie):
-            _coerce_matrix(self.episodes.matrix)
+            matrix = self.episodes.matrix
         else:
             if not self.episodes:
                 raise ValidationError("problem needs at least one episode")
             object.__setattr__(self, "episodes", tuple(self.episodes))
-        object.__setattr__(self, "db", db)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        if isinstance(self.episodes, np.ndarray):
-            return self.episodes
-        if isinstance(self.episodes, CandidateTrie):
-            return _coerce_matrix(self.episodes.matrix)
-        return episodes_to_matrix(list(self.episodes))
+            matrix = episodes_to_matrix(list(self.episodes))
+        check_episode_codes(matrix, self.alphabet_size)
+        object.__setattr__(self, "matrix", matrix.astype(np.uint8, copy=False))
+        object.__setattr__(self, "db", db.astype(np.uint8, copy=False))
 
     @cached_property
     def trie(self) -> CandidateTrie:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.mining.alphabet import Alphabet
+from repro.mining.alphabet import Alphabet, check_database
 from repro.resilience.atomic import atomic_open, atomic_write_text
 
 
@@ -37,7 +37,12 @@ def save_database(
 def load_database(
     path: "str | Path", alphabet: Alphabet | None = None
 ) -> np.ndarray:
-    """Load a database saved by :func:`save_database`."""
+    """Load a database saved by :func:`save_database`.
+
+    A ``.npy`` file may hold any integer dtype; its codes are checked
+    against ``alphabet`` (or the uint8 range without one) before the
+    array is narrowed to uint8, so no code wraps onto another symbol.
+    """
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"no database file at {path}")
@@ -45,7 +50,6 @@ def load_database(
         if alphabet is None:
             raise ValidationError("loading .txt requires an alphabet")
         return alphabet.encode(path.read_text().strip())
-    arr = np.load(path)
-    if arr.ndim != 1:
-        raise ValidationError(f"{path} does not contain a 1-D database")
-    return arr.astype(np.uint8)
+    size = alphabet.size if alphabet is not None else 256
+    db = check_database(np.load(path), size)
+    return db.astype(np.uint8, copy=False)

@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.mining.alphabet import check_database, check_episode_codes
 from repro.mining.episode import Episode
 from repro.mining.fsm import EpisodeFSM
 from repro.mining.policies import MatchPolicy, validate_window
@@ -61,13 +62,6 @@ _MAX_ENCODED = 2**62
 
 #: times[] sentinel for "prefix never completed" in the expiring sweeps.
 _NEG = -(1 << 60)
-
-
-def _check_db(db: np.ndarray) -> np.ndarray:
-    db = np.asarray(db)
-    if db.ndim != 1:
-        raise ValidationError(f"database must be 1-D, got shape {db.shape}")
-    return db
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +82,7 @@ class DatabaseIndex:
     """
 
     def __init__(self, db: np.ndarray, fingerprint: "str | None" = None) -> None:
-        self.db = _check_db(db)
+        self.db = db
         self._order: np.ndarray | None = None
         self._sorted: np.ndarray | None = None
         self._cache: dict[int, np.ndarray] = {}
@@ -149,9 +143,9 @@ def ngram_counts(db: np.ndarray, level: int, alphabet_size: int) -> np.ndarray:
 
     Returns an array of length ``alphabet_size ** level`` where entry
     ``sum(code[j] * N**(L-1-j))`` is the number of (possibly not
-    distinct-item) contiguous occurrences of that gram.
+    distinct-item) contiguous occurrences of that gram.  ``db`` is
+    trusted: the public counting entry points check it.
     """
-    db = _check_db(db)
     if level < 1:
         raise ValidationError(f"level must be >= 1, got {level}")
     if alphabet_size < 1:
@@ -163,9 +157,14 @@ def ngram_counts(db: np.ndarray, level: int, alphabet_size: int) -> np.ndarray:
     n = db.size
     if n < level:
         return np.zeros(alphabet_size**level, dtype=np.int64)
+    # in place: one int64 temporary per call, however long the gram.
+    # A fresh array per step puts two database-sized temporaries on the
+    # heap at once, and whether their frees trim the heap (to refault it
+    # on the next call) then hangs on where earlier allocations landed
     code = db[: n - level + 1].astype(np.int64)
     for j in range(1, level):
-        code = code * alphabet_size + db[j : n - level + 1 + j]
+        code *= alphabet_size
+        code += db[j : n - level + 1 + j]
     return np.bincount(code, minlength=alphabet_size**level)
 
 
@@ -203,7 +202,8 @@ def count_batch(
     from repro.mining.trie import as_trie
 
     batch = as_trie(episodes)
-    db = _check_db(db)
+    db = check_database(db, alphabet_size)
+    check_episode_codes(batch.codes(), alphabet_size)
     validate_window(policy, window)
     resolved = get_engine(engine or "auto")
     with resolved:
@@ -239,12 +239,9 @@ def count_episode(
     sliding-window comparison instead, and SUBSEQUENCE/EXPIRING use
     position-list hopping.
     """
-    db = _check_db(db)
+    db = check_database(db, alphabet_size)
+    check_episode_codes(list(episode.items), alphabet_size)
     validate_window(policy, window)
-    if any(i >= alphabet_size for i in episode.items):
-        raise ValidationError(
-            f"episode {episode} exceeds alphabet of size {alphabet_size}"
-        )
     if policy is MatchPolicy.RESET:
         # episode.items, not episode.array: the uint8 matrix form cannot
         # hold item codes on alphabets wider than 256
@@ -647,7 +644,9 @@ def count_matrix_reference(
       :class:`~repro.mining.fsm.EpisodeFSM`, applied to the raw item
       row.
     """
-    db = np.asarray(_check_db(db), dtype=np.int64)
+    db = np.asarray(db, dtype=np.int64)
+    if db.ndim != 1:
+        raise ValidationError(f"database must be 1-D, got shape {db.shape}")
     validate_window(policy, window)
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:

@@ -634,22 +634,14 @@ class GpuSimEngine(CountingEngine):
         window: "int | None" = None,
         index: "DatabaseIndex | None" = None,
     ) -> np.ndarray:
-        from repro.algos.base import MiningProblem, coerce_database
+        from repro.algos.base import MiningProblem
         from repro.algos.registry import get_algorithm
 
         validate_window(policy, window)
-        db = coerce_database(db, alphabet_size)  # also bounds alphabet_size
-        # the matrix form raises ValidationError for Episode codes that
-        # do not fit uint8; raw matrices keep their dtype, so the
-        # alphabet bound is checked here, before the kernels narrow it
-        matrix = batch.matrix
-        top = int(matrix.max(initial=0))
-        if top >= alphabet_size:
-            raise ValidationError(
-                f"episode code {top} >= alphabet size {alphabet_size}"
-            )
-        if matrix.shape[0] == 0:
+        if len(batch) == 0:
             return np.zeros(0, dtype=np.int64)
+        # the problem checks the database and episode codes and bounds
+        # alphabet_size by the kernels' uint8 staging
         problem = MiningProblem(db, batch, alphabet_size, policy, window)
         choice = None
         if self._selector is not None:
@@ -1387,6 +1379,11 @@ class EngineRegistry:
     def get(self, name: "str | CountingEngine") -> CountingEngine:
         if isinstance(name, CountingEngine):
             return name
+        if not isinstance(name, str):
+            raise ValidationError(
+                "a counting engine is a registered name or a "
+                f"CountingEngine instance, not {type(name).__name__}"
+            )
         engine = self._instances.get(name)
         if engine is None:
             factory = self._factories.get(name)

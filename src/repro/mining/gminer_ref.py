@@ -3,7 +3,8 @@
 The paper motivates GPU mining by contrast with GMiner, "limited to a
 single CPU running a Java virtual machine, forcing output to be
 processed post-mortem" (§1).  :class:`SerialMiner` plays that role: one
-scalar FSM pass per candidate, no vectorization, no parallelism.  It is
+scalar pass per candidate (the ``scalar-oracle`` engine), no
+vectorization, no parallelism.  It is
 deliberately naive — it is both the correctness oracle for integration
 tests and the CPU baseline the benchmark harness compares simulated-GPU
 configurations against.
@@ -16,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.mining.alphabet import Alphabet
-from repro.mining.counting import count_batch_reference
+from repro.mining.engines import ScalarOracleEngine
 from repro.mining.episode import Episode
 from repro.mining.miner import FrequentEpisodeMiner, MiningResult
 from repro.mining.policies import MatchPolicy
+from repro.mining.trie import CandidateTrie, as_trie
 from repro.obs import clock
 
 
@@ -37,6 +39,25 @@ class SerialTiming:
         return total / self.seconds if self.seconds > 0 else float("inf")
 
 
+class _TimedOracle(ScalarOracleEngine):
+    """The scalar oracle, recording the wall time of each counting pass."""
+
+    def __init__(self) -> None:
+        self.last_timing: SerialTiming | None = None
+
+    def count_batch(
+        self, db: np.ndarray, batch: CandidateTrie, *args, **kwargs
+    ) -> np.ndarray:
+        start = clock.now()
+        counts = super().count_batch(db, batch, *args, **kwargs)
+        self.last_timing = SerialTiming(
+            episodes=len(batch),
+            db_length=int(db.size),
+            seconds=clock.now() - start,
+        )
+        return counts
+
+
 class SerialMiner:
     """Single-threaded scalar miner."""
 
@@ -51,31 +72,27 @@ class SerialMiner:
         self.alphabet = alphabet
         self.policy = policy
         self.window = window
-        self.last_timing: SerialTiming | None = None
+        self._engine = _TimedOracle()
         self._miner = FrequentEpisodeMiner(
             alphabet,
             threshold,
             policy=policy,
             window=window,
-            engine=self._count,
+            engine=self._engine,
             max_level=max_level,
         )
 
-    def _count(self, db: np.ndarray, episodes: list[Episode]) -> np.ndarray:
-        start = clock.now()
-        counts = count_batch_reference(
-            db, episodes, self.alphabet.size, self.policy, self.window
-        )
-        self.last_timing = SerialTiming(
-            episodes=len(episodes),
-            db_length=int(np.asarray(db).size),
-            seconds=clock.now() - start,
-        )
-        return counts
+    @property
+    def last_timing(self) -> SerialTiming | None:
+        """Timing of the most recent counting pass."""
+        return self._engine.last_timing
 
     def mine(self, db: np.ndarray) -> MiningResult:
         return self._miner.mine(db)
 
     def count(self, db: np.ndarray, episodes: list[Episode]) -> np.ndarray:
         """Expose the raw counting pass for baseline benchmarks."""
-        return self._count(np.asarray(db), episodes)
+        return self._engine.count_batch(
+            np.asarray(db), as_trie(episodes), self.alphabet.size,
+            self.policy, self.window,
+        )

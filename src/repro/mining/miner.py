@@ -8,9 +8,8 @@ whole point being that the counting step dominates and parallelizes.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,11 +27,6 @@ from repro.obs.recorder import (
     resolve_recorder,
 )
 from repro.obs.report import RunReport
-
-
-#: a plain counting callable: ``(db, candidates) -> counts``, one count
-#: per candidate in trie order
-CountFn = Callable[[np.ndarray, CandidateTrie], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -131,13 +125,12 @@ class FrequentEpisodeMiner:
         Matching semantics (see :mod:`repro.mining.policies`).
     engine:
         Counting engine: a registry name (``"auto"``, ``"position-hop"``,
-        ``"vector-sweep"``, ``"sharded"``, ...), a registry
-        :class:`~repro.mining.engines.CountingEngine` instance, or any
-        ``(db, candidates) -> counts`` callable (:data:`CountFn`).
-        Defaults to ``"auto"``.
-        Registry engines share one
-        :class:`~repro.mining.counting.DatabaseIndex` across all levels
-        of a run.
+        ``"vector-sweep"``, ``"sharded"``, ...) or a
+        :class:`~repro.mining.engines.CountingEngine` instance.
+        Defaults to ``"auto"``.  The engine is bound once
+        (:meth:`~repro.mining.engines.CountingEngine.bind`), so every
+        level of a run shares one
+        :class:`~repro.mining.counting.DatabaseIndex`.
     max_level:
         Safety cap on the level loop (the paper's evaluation stops at
         L=3; mining real data can run deeper).
@@ -163,7 +156,7 @@ class FrequentEpisodeMiner:
         threshold: float,
         policy: MatchPolicy = MatchPolicy.RESET,
         window: int | None = None,
-        engine: "CountFn | CountingEngine | str | None" = None,
+        engine: "CountingEngine | str | None" = None,
         max_level: int = 8,
         exhaustive_candidates: bool = False,
         recorder: "Recorder | NullRecorder | None" = None,
@@ -183,26 +176,9 @@ class FrequentEpisodeMiner:
         self.exhaustive_candidates = exhaustive_candidates
         self.recorder = recorder
         self._last_report: "RunReport | None" = None
-        if engine is None or isinstance(engine, (str, CountingEngine)):
-            self._engine = get_engine(engine or "auto").bind(
-                alphabet.size, policy, window
-            )
-        else:
-            self._engine = engine
-
-    def _engine_scope(self):
-        """The engine's run context, if it offers one.
-
-        Registry engines (and :class:`~repro.mining.engines.BoundEngine`)
-        are context managers — entering lets run-scoped engines acquire
-        their worker pool once for the whole level loop.  Legacy plain
-        callables are not, and get a null scope.
-        """
-        engine = self._engine
-        cls = type(engine)
-        if getattr(cls, "__enter__", None) and getattr(cls, "__exit__", None):
-            return engine
-        return nullcontext()
+        self._engine = get_engine(engine or "auto").bind(
+            alphabet.size, policy, window
+        )
 
     @property
     def degradation_events(self) -> tuple:
@@ -211,11 +187,11 @@ class FrequentEpisodeMiner:
         :class:`~repro.resilience.supervisor.DegradationEvent` records
         surfaced by a supervised engine (the ``sharded`` tier) — pool
         respawns, reclaimed shards, degradations to the single-process
-        chain.  Empty for unsupervised engines and plain callables, and
-        reset when a new run opens its engine scope.  Results are exact
-        either way; this is how callers *see* that recovery happened.
+        chain.  Empty for unsupervised engines, and reset when a new run
+        opens its engine scope.  Results are exact either way; this is
+        how callers *see* that recovery happened.
         """
-        return tuple(getattr(self._engine, "events", ()))
+        return self._engine.events
 
     @property
     def last_report(self) -> "RunReport | None":
@@ -245,8 +221,7 @@ class FrequentEpisodeMiner:
             raise ValidationError("cannot mine an empty database")
         rec = resolve_recorder(self.recorder)
         engine = self._engine
-        instrumented = hasattr(engine, "set_recorder")
-        cache = getattr(engine, "cache", None)
+        cache = engine.cache
         levels: list[LevelResult] = []
         # every level counts through the trie batch representation:
         # generate_next_level emits tries directly, and the exhaustive /
@@ -254,28 +229,16 @@ class FrequentEpisodeMiner:
         # count_batch path (index-stable, so results are unchanged)
         candidates = CandidateTrie.from_episodes(generate_level(self.alphabet, 1))
         level = 1
-        if instrumented:
-            engine.set_recorder(rec)
+        engine.set_recorder(rec)
         try:
             with rec.span("mine", events=int(n), threshold=self.threshold):
-                with self._engine_scope():
+                with engine:
                     while candidates:
                         with rec.span(
                             "level", level=level, candidates=len(candidates)
                         ) as sp:
-                            before = (
-                                cache.stats()
-                                if rec.enabled and cache is not None
-                                else None
-                            )
-                            counts = np.asarray(
-                                self._engine(db, candidates), dtype=np.int64
-                            )
-                            if counts.shape != (len(candidates),):
-                                raise MiningError(
-                                    f"engine returned shape {counts.shape} for "
-                                    f"{len(candidates)} candidates"
-                                )
+                            before = cache.stats() if rec.enabled else None
+                            counts = engine(db, candidates)
                             result, frequent = eliminate_level(
                                 level, candidates, counts, n, self.threshold
                             )
@@ -309,20 +272,16 @@ class FrequentEpisodeMiner:
                                     contiguous=self.policy.is_contiguous,
                                 )
         finally:
-            if instrumented:
-                engine.set_recorder(NULL_RECORDER)
+            engine.set_recorder(NULL_RECORDER)
         if rec.enabled:
             self._last_report = RunReport.from_recorder(
                 rec,
                 command="mine",
                 degradation_events=self.degradation_events,
-                cache=cache.stats() if cache is not None else None,
+                cache=cache.stats(),
                 calibration=calibration_provenance(),
                 meta={
-                    "engine": getattr(
-                        getattr(engine, "engine", engine), "name",
-                        type(engine).__name__,
-                    ),
+                    "engine": engine.engine.name,
                     "policy": self.policy.value,
                     "threshold": self.threshold,
                     "n_events": int(n),
@@ -346,18 +305,10 @@ class FrequentEpisodeMiner:
         incrementally across chunks by a
         :class:`~repro.streaming.StreamingMiner` configured like this
         miner (same alphabet/threshold/policy/engine);
-        windowed mode mines the trailing ``horizon`` events.  Requires
-        a registry engine (plain callables cannot be dispatched
-        per-chunk).
+        windowed mode mines the trailing ``horizon`` events.
         """
-        from repro.mining.engines import BoundEngine
         from repro.streaming import StreamingMiner
 
-        if not isinstance(self._engine, BoundEngine):
-            raise ValidationError(
-                "mine_stream requires a registry counting engine; this "
-                "miner was built with a plain callable"
-            )
         streaming = StreamingMiner(
             self.alphabet,
             self.threshold,

@@ -64,6 +64,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.mining.alphabet import check_database, check_episode_codes
 from repro.mining.counting import (
     _NEG,
     _expiring_step,
@@ -128,9 +129,14 @@ def count_segmented(
     reproduces Fig. 5(a)'s *wrong* answer — the ablation benchmarks use
     it to quantify how many occurrences the span check recovers.
     """
-    db = np.asarray(db)
+    db = check_database(db, alphabet_size)
     if len(episodes) == 0:
         raise ValidationError("need at least one episode")
+    check_episode_codes(
+        episodes if isinstance(episodes, np.ndarray)
+        else [i for ep in episodes for i in ep.items],
+        alphabet_size,
+    )
     validate_window(policy, window)
     bounds = segment_bounds(db.size, n_segments)
 
@@ -436,11 +442,6 @@ def _count_segmented_two_pass(
     drift.  Mixed-length batches are grouped by length (each group gets
     its own matrix) and scattered back in input order.
     """
-    for ep in episodes:
-        if any(i >= alphabet_size for i in ep.items):
-            raise ValidationError(
-                f"episode {ep} exceeds alphabet of size {alphabet_size}"
-            )
     seg_counts = np.zeros((len(bounds), len(episodes)), dtype=np.int64)
     groups: dict[int, list[int]] = {}
     for j, ep in enumerate(episodes):

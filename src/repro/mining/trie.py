@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.errors import ValidationError
+from repro.errors import MiningError, ValidationError
 from repro.mining.counting import (
     _NEG,
     DatabaseIndex,
@@ -227,6 +227,12 @@ class CandidateTrie(Sequence):
             else:
                 self._matrix = np.zeros((0, self._level), dtype=np.uint8)
         return self._matrix
+
+    def codes(self) -> np.ndarray:
+        """Every item code of the batch, one per trie edge — what the
+        episode-code rule checks, without building the uint8 matrix
+        (which cannot hold the codes of alphabets wider than 256)."""
+        return np.array([s for kids in self._children for s in kids])
 
     def children_of(self, node: int) -> "list[tuple[int, int]]":
         """``(symbol, child id)`` pairs in ascending symbol order."""
@@ -897,7 +903,9 @@ def cached_count_batch(
     so prefix sharing survives partial hits — then stored.  A repeated
     ``(db, episode set, policy, window)`` count therefore makes *zero*
     engine calls.  Exact by construction: the key captures every input
-    the count depends on.  Caller owns the engine's run scope.
+    the count depends on.  An engine returning the wrong number of
+    counts raises :class:`~repro.errors.MiningError`.  Caller owns the
+    engine's run scope.
     """
     if isinstance(batch, CandidateTrie):
         matrix = batch.matrix
@@ -930,9 +938,14 @@ def cached_count_batch(
             sub: "CandidateTrie | np.ndarray" = batch
         else:
             sub = CandidateTrie.from_matrix(matrix[missing])
-        counts = engine.count_batch(
+        counts = np.asarray(engine.count_batch(
             db, sub, alphabet_size, policy, window, index=index
-        )
+        ))
+        if counts.shape != (len(missing),):
+            raise MiningError(
+                f"engine {engine.name!r} returned shape {counts.shape} "
+                f"for {len(missing)} candidates"
+            )
         for j, i in enumerate(missing):
             value = int(counts[j])
             out[i] = value

@@ -239,11 +239,6 @@ class StreamingMiner:
             raise ConfigError(
                 f"retention must be >= 1 events, got {retention}"
             )
-        if engine is not None and not isinstance(engine, (str, CountingEngine)):
-            raise ValidationError(
-                "streaming mining needs a registry engine (name or "
-                "CountingEngine instance), not a plain callable"
-            )
         self.alphabet = alphabet
         self.threshold = threshold
         self.policy = policy
@@ -321,9 +316,7 @@ class StreamingMiner:
             degradation_events=tuple(self._sup_events),
             calibration=calibration_provenance(),
             meta={
-                "engine": getattr(
-                    self._engine, "name", type(self._engine).__name__
-                ),
+                "engine": self._engine.name,
                 "mode": self.mode,
                 "horizon": self.horizon,
                 "retention": self.retention,
@@ -343,11 +336,9 @@ class StreamingMiner:
         (engine scopes are re-entrant), so run-scoped engines
         (``sharded``) spawn at most one worker pool per stream.
         """
-        chunk = self._validate_chunk(chunk)
+        chunk = self.alphabet.validate_database(chunk)
         rec = resolve_recorder(self.recorder)
-        instrumented = hasattr(self._engine, "set_recorder")
-        if instrumented:
-            self._engine.set_recorder(rec)
+        self._engine.set_recorder(rec)
         try:
             with rec.span(
                 "chunk", index=self._chunk_index, events=int(chunk.size)
@@ -372,8 +363,7 @@ class StreamingMiner:
                         n_tracked=self._store.n_tracked,
                     )
         finally:
-            if instrumented:
-                self._engine.set_recorder(NULL_RECORDER)
+            self._engine.set_recorder(NULL_RECORDER)
         self._sup_events.extend(events)
         self._chunk_index += 1
         return StreamUpdate(
@@ -558,17 +548,6 @@ class StreamingMiner:
         return miner
 
     # -- internals -----------------------------------------------------
-
-    def _validate_chunk(self, chunk: np.ndarray) -> np.ndarray:
-        chunk = np.asarray(chunk)
-        if chunk.ndim != 1:
-            raise ValidationError(
-                f"chunk must be 1-D, got shape {chunk.shape}"
-            )
-        if chunk.size == 0:
-            # an empty poll: keep dtype canonical, skip the max() check
-            return chunk.astype(np.uint8)
-        return self.alphabet.validate_database(chunk)
 
     def _next_candidates(
         self, level: int, frequent: "tuple[Episode, ...]"

@@ -77,7 +77,7 @@ class TestDatabaseValidation:
             UPPERCASE.validate_database(np.zeros((2, 2), dtype=np.uint8))
 
     def test_out_of_alphabet_code(self):
-        with pytest.raises(ValidationError, match="alphabet size"):
+        with pytest.raises(ValidationError, match="outside the alphabet"):
             UPPERCASE.validate_database(np.array([26], dtype=np.uint8))
 
     def test_empty_ok(self):

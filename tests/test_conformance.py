@@ -18,9 +18,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.mining.alphabet import Alphabet
+from repro.mining.alphabet import Alphabet, check_database, check_episode_codes
 from repro.mining.candidates import generate_level
-from repro.mining.counting import count_batch_reference, count_matrix_reference
+from repro.mining.counting import (
+    count_batch,
+    count_batch_reference,
+    count_episode,
+    count_matrix_reference,
+)
 from repro.mining.engines import REGISTRY, get_engine, list_engines
 from repro.mining.episode import Episode
 from repro.mining.policies import MatchPolicy
@@ -261,6 +266,61 @@ class TestUniformValidation:
             fresh_engine(name).count_batch(
                 db, as_trie([Episode((0, 1))]), ALPHA.size, policy, 5
             )
+
+
+def _message(call):
+    with pytest.raises(ValidationError) as info:
+        call()
+    return str(info.value)
+
+
+#: (id, database, episode items, alphabet size, policy, rule that fires).
+#: Each would alias a valid gram under the base-N encoding if it got
+#: past the entry point.
+BAD_INPUTS = [
+    ("uint8-code-26", np.array([0, 26, 0, 26], dtype=np.uint8), (1, 0), 26,
+     MatchPolicy.RESET, "database"),
+    ("negative-int64", np.array([1, -1, 0, 1], dtype=np.int64), (1, 0), 4,
+     MatchPolicy.RESET, "database"),
+    ("float", np.array([0.0, 1.0, 0.0, 1.0]), (1, 0), 4,
+     MatchPolicy.RESET, "database"),
+    ("2-d", np.zeros((2, 2), dtype=np.uint8), (1, 0), 4,
+     MatchPolicy.RESET, "database"),
+    ("episode-code-reset", np.array([1, 0, 1, 0, 3], dtype=np.uint8),
+     (0, 4), 4, MatchPolicy.RESET, "episode"),
+    ("episode-code-reset-last", np.array([1, 0, 1, 0, 3], dtype=np.uint8),
+     (3, 4), 4, MatchPolicy.RESET, "episode"),
+    ("episode-code-subsequence", np.array([1, 0, 1, 0, 3], dtype=np.uint8),
+     (0, 4), 4, MatchPolicy.SUBSEQUENCE, "episode"),
+]
+
+
+class TestBoundaryValidation:
+    """Bad databases and episode codes are rejected where they enter,
+    by the one rule of :mod:`repro.mining.alphabet`, with the same
+    message whichever engine would have counted them."""
+
+    @staticmethod
+    def expected(case):
+        _, db, items, size, _, rule = case
+        if rule == "database":
+            return _message(lambda: check_database(db, size))
+        return _message(lambda: check_episode_codes(np.array([items]), size))
+
+    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    @pytest.mark.parametrize("case", BAD_INPUTS, ids=[c[0] for c in BAD_INPUTS])
+    def test_count_batch(self, case, name):
+        _, db, items, size, policy, _ = case
+        got = _message(lambda: count_batch(
+            db, np.array([items]), size, policy, engine=name
+        ))
+        assert got == self.expected(case)
+
+    @pytest.mark.parametrize("case", BAD_INPUTS, ids=[c[0] for c in BAD_INPUTS])
+    def test_count_episode(self, case):
+        _, db, items, size, policy, _ = case
+        got = _message(lambda: count_episode(db, Episode(items), size, policy))
+        assert got == self.expected(case)
 
 
 class TestRunScopeContract:

@@ -69,8 +69,10 @@ class TestNgramCounts:
             ngram_counts(np.zeros(10, dtype=np.uint8), 0, 26)
 
     def test_2d_db_rejected(self):
-        with pytest.raises(ValidationError):
-            ngram_counts(np.zeros((2, 5), dtype=np.uint8), 1, 26)
+        # ngram_counts trusts its database; the RESET entry point that
+        # counts through it rejects the 2-D array first
+        with pytest.raises(ValidationError, match="1-D"):
+            count_batch(np.zeros((2, 5), dtype=np.uint8), [Episode((0,))], 26)
 
 
 class TestEncodeEpisodes:
@@ -125,6 +127,15 @@ class TestBatchVsOracle:
         db = UPPERCASE.encode("ABAB")
         matrix = episodes_to_matrix([Episode((0, 1))])
         assert count_batch(db, matrix, 26)[0] == 2
+
+    def test_wide_alphabet_batch_not_narrowed(self):
+        """The entry checks keep host alphabets wider than uint8: the
+        int64 database and the codes above 255 are counted as given."""
+        db = np.array([300, 7, 300, 7, 7], dtype=np.int64)
+        eps = [Episode((300, 7))]
+        got = count_batch(db, eps, 1000, MatchPolicy.SUBSEQUENCE,
+                          engine="position-hop")
+        assert got.tolist() == [2]
 
     def test_bad_matrix_rejected(self):
         db = UPPERCASE.encode("ABAB")

@@ -179,6 +179,33 @@ class TestPersistence:
         with pytest.raises(ValidationError):
             save_database(tmp_path / "x.npy", np.zeros(4, dtype=np.int64))
 
+    @pytest.mark.parametrize("alphabet", [None, UPPERCASE], ids=["bare", "A-Z"])
+    @pytest.mark.parametrize(
+        "codes", [[0, 260, 1], [0, -1, 1], [0.0, 1.0]],
+        ids=["260", "minus-1", "float"],
+    )
+    def test_npy_outside_uint8_rejected_not_wrapped(self, tmp_path, codes, alphabet):
+        """An int64 260 used to load as code 4 and -1 as 255."""
+        path = tmp_path / "wide.npy"
+        np.save(path, np.array(codes))
+        with pytest.raises(ValidationError, match="database"):
+            load_database(path, alphabet)
+
+    def test_npy_out_of_alphabet_rejected(self, tmp_path):
+        path = tmp_path / "db.npy"
+        np.save(path, np.array([0, 26], dtype=np.uint8))
+        assert load_database(path).tolist() == [0, 26]
+        with pytest.raises(ValidationError, match="outside the alphabet"):
+            load_database(path, UPPERCASE)
+
+    def test_npy_in_range_int64_loads_as_uint8(self, tmp_path):
+        db = random_database(200, seed=4)
+        path = tmp_path / "wide.npy"
+        np.save(path, db.astype(np.int64))
+        loaded = load_database(path, UPPERCASE)
+        assert loaded.dtype == np.uint8
+        assert np.array_equal(loaded, db)
+
 
 class TestStreamChunks:
     """The chunked/drifting synthetic feed (streaming bench + tests)."""

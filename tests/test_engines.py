@@ -31,6 +31,7 @@ from repro.mining.engines import (
     CountingEngine,
     EngineRegistry,
     GpuSimEngine,
+    PositionHopEngine,
     ShardedEngine,
     get_engine,
     list_engines,
@@ -257,8 +258,13 @@ class TestDatabaseIndex:
         assert index.positions(7).size == 0
 
     def test_2d_rejected(self):
-        with pytest.raises(ValidationError):
-            DatabaseIndex(np.zeros((2, 2), dtype=np.uint8))
+        # DatabaseIndex trusts its database; the position-hop entry
+        # point that indexes it rejects the 2-D array first
+        with pytest.raises(ValidationError, match="1-D"):
+            count_episode(
+                np.zeros((2, 2), dtype=np.uint8), Episode((0, 1)), 4,
+                MatchPolicy.SUBSEQUENCE,
+            )
 
     def test_hopping_accepts_shared_index(self):
         db = np.random.default_rng(5).integers(0, 4, 300).astype(np.uint8)
@@ -844,16 +850,23 @@ class TestMinerIntegration:
         default = FrequentEpisodeMiner(alpha, 0.05, max_level=2).mine(db)
         assert mined.all_frequent == default.all_frequent
 
-    def test_legacy_callable_engine_still_works(self, workload):
+    def test_custom_engine_subclass_drives_the_miner(self, workload):
         alpha, db = workload
         calls = []
 
-        def engine(database, episodes):
-            calls.append(len(episodes))
-            return count_batch(database, episodes, alpha.size)
+        class Recording(PositionHopEngine):
+            name = "recording"
 
-        FrequentEpisodeMiner(alpha, 0.05, max_level=2, engine=engine).mine(db)
-        assert calls  # the callable protocol was exercised
+            def count_batch(self, db, batch, *args, **kwargs):
+                calls.append(len(batch))
+                return super().count_batch(db, batch, *args, **kwargs)
+
+        mined = FrequentEpisodeMiner(
+            alpha, 0.05, max_level=2, engine=Recording()
+        ).mine(db)
+        default = FrequentEpisodeMiner(alpha, 0.05, max_level=2).mine(db)
+        assert calls  # the subclass counted every level
+        assert mined.all_frequent == default.all_frequent
 
 
 class TestGpuSimEngine:
@@ -906,7 +919,7 @@ class TestGpuSimEngine:
         """Regression: symbols >= 256 used to wrap modulo 256 silently."""
         engine = GpuSimEngine()
         db = np.array([0, 1, 300], dtype=np.int64)
-        with pytest.raises(ValidationError, match="refusing to truncate"):
+        with pytest.raises(ValidationError, match="outside the alphabet"):
             engine.count_batch(
                 db, as_trie([Episode((0, 1))]), alphabet_size=256
             )

@@ -5,9 +5,36 @@ import pytest
 
 from repro.errors import MiningError, ValidationError
 from repro.mining.alphabet import Alphabet, UPPERCASE
+from repro.mining.engines import CountingEngine, get_engine
 from repro.mining.episode import Episode
 from repro.mining.miner import FrequentEpisodeMiner, MiningResult
 from repro.mining.policies import MatchPolicy
+
+
+class BatchSpy(CountingEngine):
+    """Counts through ``auto`` and records every batch's size."""
+
+    name = "batch-spy"
+
+    def __init__(self):
+        self.batches = []
+
+    def count_batch(self, db, batch, alphabet_size, policy=MatchPolicy.RESET,
+                    window=None, index=None):
+        self.batches.append(len(batch))
+        return get_engine("auto").count_batch(
+            db, batch, alphabet_size, policy, window, index=index
+        )
+
+
+class WrongShapeEngine(CountingEngine):
+    """Returns one count too many."""
+
+    name = "wrong-shape"
+
+    def count_batch(self, db, batch, alphabet_size, policy=MatchPolicy.RESET,
+                    window=None, index=None):
+        return np.zeros(len(batch) + 1)
 
 
 @pytest.fixture()
@@ -100,34 +127,22 @@ class TestMiningLoop:
 
     def test_exhaustive_mode_counts_full_space(self, simple_db):
         db, alpha = simple_db
-        counted = []
-
-        def engine(d, eps):
-            counted.append(len(eps))
-            from repro.mining.counting import count_batch
-
-            return count_batch(d, eps, alpha.size)
-
+        spy = BatchSpy()
         FrequentEpisodeMiner(
-            alpha, threshold=0.1, engine=engine, exhaustive_candidates=True,
+            alpha, threshold=0.1, engine=spy, exhaustive_candidates=True,
             max_level=2,
         ).mine(db)
+        counted = spy.batches
         assert counted[0] == 5
         assert counted[1] == 20  # P(5,2), the full Table-1 space
 
     def test_apriori_mode_counts_fewer(self, simple_db):
         db, alpha = simple_db
-        counted = []
-
-        def engine(d, eps):
-            counted.append(len(eps))
-            from repro.mining.counting import count_batch
-
-            return count_batch(d, eps, alpha.size)
-
+        spy = BatchSpy()
         FrequentEpisodeMiner(
-            alpha, threshold=0.1, engine=engine, max_level=3
+            alpha, threshold=0.1, engine=spy, max_level=3
         ).mine(db)
+        counted = spy.batches
         # level 2: suffix pruning cannot bite (every singleton suffix is
         # frequent), so the full P(5,2)=20 space is counted; level 3 is
         # where the contiguous prune pays off vs P(5,3)=60
@@ -154,7 +169,7 @@ class TestValidation:
     def test_engine_shape_checked(self, simple_db):
         db, alpha = simple_db
         miner = FrequentEpisodeMiner(
-            alpha, threshold=0.1, engine=lambda d, e: np.zeros(1)
+            alpha, threshold=0.1, engine=WrongShapeEngine()
         )
         with pytest.raises(MiningError, match="shape"):
             miner.mine(db)

@@ -568,14 +568,13 @@ class TestMineStreamAPI:
         assert miner.mine_stream(chunked(db, [100, 101])).levels == batch.levels
 
     def test_mine_stream_rejects_plain_callables(self):
+        # the miner's constructor rejects a plain callable, so no miner
+        # can carry one into mine_stream
         def fake_engine(db, episodes):
             return np.zeros(len(episodes), dtype=np.int64)
 
-        miner = FrequentEpisodeMiner(
-            Alphabet.of_size(4), 0.1, engine=fake_engine
-        )
-        with pytest.raises(ValidationError):
-            miner.mine_stream(np.zeros(4, dtype=np.uint8))
+        with pytest.raises(ValidationError, match="CountingEngine"):
+            FrequentEpisodeMiner(Alphabet.of_size(4), 0.1, engine=fake_engine)
 
 
 class TestStateStore:
@@ -709,6 +708,18 @@ class TestStreamCli:
             "--max-level", "2",
         ]) == 0
         assert "consumed 900 events" in capsys.readouterr().out
+
+    def test_stream_command_rejects_codes_that_would_wrap(
+        self, tmp_path, capsys
+    ):
+        """An int64 260 used to load as code 4 ('E') and stream exit 0."""
+        path = tmp_path / "wrap.npy"
+        np.save(path, np.full(100, 260, dtype=np.int64))
+        assert cli.main([
+            "stream", "--input", str(path), "--alphabet-size", "26",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "database code 260 is outside the alphabet [0, 26)" in err
 
     def test_stream_command_rejects_bad_flags(self, capsys):
         assert cli.main(["stream", "--engine", "nope"]) == 2

@@ -88,17 +88,21 @@ class TestFailureInjection:
 
     def test_engine_returning_garbage_is_caught(self):
         from repro.mining.alphabet import Alphabet
+        from repro.mining.engines import CountingEngine
         from repro.mining.miner import FrequentEpisodeMiner
         from repro.errors import MiningError
 
         alpha = Alphabet.of_size(4)
         db = np.zeros(50, dtype=np.uint8)
 
-        def bad_engine(d, eps):
-            return np.zeros(len(eps) + 1)  # wrong shape
+        class BadEngine(CountingEngine):
+            name = "bad"
+
+            def count_batch(self, db, batch, *args, **kwargs):
+                return np.zeros(len(batch) + 1)  # wrong shape
 
         with pytest.raises(MiningError):
-            FrequentEpisodeMiner(alpha, 0.1, engine=bad_engine).mine(db)
+            FrequentEpisodeMiner(alpha, 0.1, engine=BadEngine()).mine(db)
 
 
 class TestSweepRowIntegrity:
