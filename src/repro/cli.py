@@ -27,9 +27,12 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ReproError
+
+if TYPE_CHECKING:  # engines load lazily, inside the commands
+    from repro.mining.engines import CountingEngine
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -328,16 +331,22 @@ def _degradation_line(ev) -> str:
             f"attempt {ev.attempt}: {ev.detail}")
 
 
-def _cmd_stream(args: argparse.Namespace) -> int:
+def _engine_from_args(
+    args: argparse.Namespace, card: "str | None" = None
+) -> "tuple[str, CountingEngine]":
+    """``(name, engine)`` for ``--engine``/``--workers``/``--min-shard-work``.
+
+    ``gpu`` aliases ``gpu-sim``, built on ``card`` when one is given.
+    ``--workers`` (or ``--engine sharded``) wraps the engine in a
+    :class:`~repro.mining.engines.ShardedEngine`; ``ConfigError`` on an
+    unknown engine or on ``--min-shard-work`` without sharding.
+    """
     from repro.errors import ConfigError
-    from repro.obs import clock
-    from repro.mining.alphabet import Alphabet
-    from repro.mining.engines import ShardedEngine, get_engine, list_engines
-    from repro.mining.policies import MatchPolicy, validate_window
-    from repro.streaming import (
-        FileStreamSource,
-        StreamingMiner,
-        SyntheticStreamSource,
+    from repro.mining.engines import (
+        GpuSimEngine,
+        ShardedEngine,
+        get_engine,
+        list_engines,
     )
 
     engine_name = "gpu-sim" if args.engine == "gpu" else args.engine
@@ -346,23 +355,45 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             f"unknown engine {args.engine!r}; expected 'gpu' or one of "
             f"{', '.join(list_engines())}"
         )
-    policy = MatchPolicy(args.policy)
-    validate_window(policy, args.window)
-    if args.min_shard_work is not None and not (
-        args.workers is not None or engine_name == "sharded"
-    ):
+    sharded = engine_name == "sharded" or args.workers is not None
+    if args.min_shard_work is not None and not sharded:
         raise ConfigError(
             "--min-shard-work requires --workers or --engine sharded"
         )
-    engine = get_engine(engine_name)
-    if args.workers is not None or engine_name == "sharded":
+    if engine_name == "gpu-sim" and card is not None:
+        from repro.gpu.specs import get_card
+
+        # same registry engine the name resolves to, on that card
+        engine = GpuSimEngine(device=get_card(card))
+    else:
+        engine = get_engine(engine_name)
+    if sharded:
         shard_kwargs = {}
         if args.workers is not None:
             shard_kwargs["workers"] = args.workers
         if args.min_shard_work is not None:
             shard_kwargs["min_shard_work"] = args.min_shard_work
         inner = "auto" if engine_name == "sharded" else engine
+        # ConfigError on bad values
         engine = ShardedEngine(inner=inner, **shard_kwargs)
+    return engine_name, engine
+
+
+def _cmd_stream(args: argparse.Namespace) -> int:
+    from repro.errors import ConfigError
+    from repro.obs import clock
+    from repro.mining.alphabet import Alphabet
+    from repro.mining.engines import ShardedEngine
+    from repro.mining.policies import MatchPolicy, validate_window
+    from repro.streaming import (
+        FileStreamSource,
+        StreamingMiner,
+        SyntheticStreamSource,
+    )
+
+    policy = MatchPolicy(args.policy)
+    validate_window(policy, args.window)
+    engine_name, engine = _engine_from_args(args)
     alphabet = Alphabet.of_size(args.alphabet_size)
     if args.input is not None:
         # fail fast on synthetic-only flags rather than silently
@@ -499,55 +530,24 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 def _cmd_mine(args: argparse.Namespace) -> int:
     from repro.data.market import MarketConfig, generate_market_stream
-    from repro.errors import ConfigError
     from repro.obs import clock
-    from repro.gpu.specs import get_card
-    from repro.mining.engines import (
-        GpuSimEngine,
-        ShardedEngine,
-        get_engine,
-        list_engines,
-    )
+    from repro.mining.engines import GpuSimEngine, ShardedEngine
     from repro.mining.miner import FrequentEpisodeMiner
     from repro.mining.policies import MatchPolicy, validate_window
 
-    # validate engine, policy, window, and sharding before the (possibly
+    # validate policy, window, engine and sharding before the (possibly
     # multi-million event) stream is built
-    engine_name = "gpu-sim" if args.engine == "gpu" else args.engine
-    if engine_name not in list_engines():
-        raise ConfigError(
-            f"unknown engine {args.engine!r}; expected 'gpu' or one of "
-            f"{', '.join(list_engines())}"
-        )
     policy = MatchPolicy(args.policy)
     validate_window(policy, args.window)
-    sharded = engine_name == "sharded" or args.workers is not None
-    if args.min_shard_work is not None and not sharded:
-        raise ConfigError(
-            "--min-shard-work requires --workers or --engine sharded"
+    engine_name, engine = _engine_from_args(args, card=args.card)
+    if engine_name == "gpu-sim" and isinstance(engine, ShardedEngine):
+        # workers re-resolve gpu-sim by name on the default card, so
+        # per-card kernel-time reporting is lost; counts stay exact
+        print(
+            "note: --workers shards the simulated-GPU engine across "
+            "host processes; simulated kernel time is not reported "
+            "and --card only affects unsharded calls"
         )
-    if engine_name == "gpu-sim":
-        # same registry engine the name resolves to, carded per --card
-        engine = GpuSimEngine(device=get_card(args.card))
-    else:
-        engine = get_engine(engine_name)
-    if sharded:
-        shard_kwargs = {}
-        if args.workers is not None:
-            shard_kwargs["workers"] = args.workers
-        if args.min_shard_work is not None:
-            shard_kwargs["min_shard_work"] = args.min_shard_work
-        inner = "auto" if engine_name == "sharded" else engine
-        # ConfigError on bad values
-        engine = ShardedEngine(inner=inner, **shard_kwargs)
-        if engine_name == "gpu-sim":
-            # workers re-resolve gpu-sim by name on the default card, so
-            # per-card kernel-time reporting is lost; counts stay exact
-            print(
-                "note: --workers shards the simulated-GPU engine across "
-                "host processes; simulated kernel time is not reported "
-                "and --card only affects unsharded calls"
-            )
     config = MarketConfig(
         n_products=12,
         n_events=args.events,

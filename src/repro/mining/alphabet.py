@@ -33,7 +33,7 @@ class Alphabet:
             raise ValidationError("alphabet must not be empty")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValidationError("alphabet symbols must be distinct")
-        if len(self.symbols) > 255:
+        if len(self.symbols) > 256:
             raise ValidationError(
                 f"alphabet of {len(self.symbols)} symbols exceeds uint8 coding"
             )

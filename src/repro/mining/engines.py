@@ -23,8 +23,9 @@ it in an :class:`EngineRegistry`, and layers composition on top:
   so drivers can report the simulated kernel time the paper measures.
 * ``sharded`` — a wrapper that decomposes one counting call into small
   typed shard tasks run on a supervised process pool.  RESET batches
-  split along the *database* axis using the segment/boundary
-  decomposition of :mod:`repro.mining.spanning` (Fig. 5's span fix).
+  split along the *database* axis, one shard per segment reading the
+  ``L-1`` events past the segment's end, so each shard counts exactly
+  the occurrences that start inside it and no span fix is needed.
   SUBSEQUENCE/EXPIRING batches split along the *episode* axis by whole
   trie subtrees when the batch is wide enough, and otherwise along the
   *database* axis via the two-pass state-summarization carry of
@@ -187,8 +188,6 @@ from repro.mining.spanning import (
     ExpiringSummary,
     compose_expiring,
     compose_subsequence,
-    count_starts_in,
-    iter_boundary_windows,
     segment_bounds,
 )
 
@@ -732,7 +731,8 @@ class _SubtreeShard:
 
 @dataclass(frozen=True, eq=False)
 class _SegmentShard:
-    """RESET database axis: occurrences wholly inside one segment."""
+    """RESET database axis: one segment plus the ``L-1`` events past its
+    end, so every occurrence starting in the segment is counted."""
 
     db: np.ndarray
     matrix: np.ndarray
@@ -740,23 +740,6 @@ class _SegmentShard:
 
     def run(self) -> np.ndarray:
         return count_reset_batch(self.db, self.matrix, self.alphabet_size)
-
-
-@dataclass(frozen=True, eq=False)
-class _BoundaryShard:
-    """RESET span fix: occurrences starting in ``[0, start_hi)`` of a
-    window straddling one segment boundary."""
-
-    db: np.ndarray
-    matrix: np.ndarray
-    alphabet_size: int
-    start_hi: int
-
-    def run(self) -> np.ndarray:
-        return count_starts_in(
-            self.db, self.matrix, self.alphabet_size,
-            start_lo=0, start_hi=self.start_hi,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -781,7 +764,7 @@ class _SummaryShard:
         return ExpiringSummary(counts=counts, exit_times=exit_times)
 
 
-_Shard = Union[_SubtreeShard, _SegmentShard, _BoundaryShard, _SummaryShard]
+_Shard = Union[_SubtreeShard, _SegmentShard, _SummaryShard]
 
 
 def _run_shard(task: _Shard, fault: "ShardFault | None" = None) -> object:
@@ -919,9 +902,10 @@ class _ShardJobHost:
 class ShardedEngine(CountingEngine):
     """Split one counting call into shard tasks run on worker processes.
 
-    RESET shards the *database* axis: per-segment counts plus the
-    boundary span fix of :mod:`repro.mining.spanning` reassemble the
-    exact whole-database answer.  SUBSEQUENCE/EXPIRING shard the
+    RESET shards the *database* axis: each segment's shard reads the
+    ``L-1`` events past the segment's end and counts the occurrences
+    that start inside it, so the shard counts sum to the exact
+    whole-database answer.  SUBSEQUENCE/EXPIRING shard the
     *episode* axis by whole trie subtrees when the batch offers enough
     of them, and the *database* axis otherwise (few episodes, long
     database) via the two-pass state carry: workers return per-segment
@@ -1171,19 +1155,13 @@ class ShardedEngine(CountingEngine):
     def _count_reset(
         self, db: np.ndarray, matrix: np.ndarray, alphabet_size: int
     ) -> np.ndarray:
-        """RESET along the database axis: segment counts plus the
-        boundary span fix, summed."""
-        bounds = segment_bounds(db.size, self.workers)
+        """RESET along the database axis: one shard per nonempty
+        segment, each overhanging its end by ``L-1`` events, summed."""
+        overhang = matrix.shape[1] - 1
         tasks: "list[_Shard]" = [
-            _SegmentShard(db[lo:hi], matrix, alphabet_size)
-            for lo, hi in bounds
+            _SegmentShard(db[lo:hi + overhang], matrix, alphabet_size)
+            for lo, hi in segment_bounds(db.size, self.workers)
             if hi > lo  # degenerate splits: skip zero-width segments
-        ]
-        tasks += [
-            _BoundaryShard(db[start_lo:hi], matrix, alphabet_size, start_hi)
-            for _, start_lo, hi, start_hi in iter_boundary_windows(
-                bounds, int(db.size), matrix.shape[1]
-            )
         ]
         return np.sum(self._run(tasks), axis=0)
 

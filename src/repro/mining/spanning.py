@@ -11,7 +11,13 @@ length L, so it spans a boundary at offset ``b`` iff it starts in
 segment independently (the map), counts matches that *start* inside
 each boundary window (the span fix), and sums (the reduce) — provably
 equal to the whole-database count, which ``tests/test_spanning.py``
-asserts exhaustively and property-based.
+asserts exhaustively and property-based.  This Fig. 5 form serves the
+gpu-sim block kernels and the span-fix ablation, which need the
+per-boundary counts.  Host pieces have no reason to split the work
+that way: a host shard or stream chunk that reads the ``L-1`` events
+past its end counts exactly the occurrences starting inside it, which
+is how the sharded engine (:mod:`repro.mining.engines`) and the
+streaming store (:mod:`repro.streaming.store`) count RESET.
 
 For ``SUBSEQUENCE``/``EXPIRING`` policies a partial match can straddle
 any number of segments, so the per-segment counts are stitched by FSM
@@ -130,6 +136,10 @@ def count_segmented(
     it to quantify how many occurrences the span check recovers.
     """
     db = check_database(db, alphabet_size)
+    if isinstance(episodes, np.ndarray) and episodes.ndim != 2:
+        raise ValidationError(
+            f"episode matrix must be 2-D (E, L), got shape {episodes.shape}"
+        )
     if len(episodes) == 0:
         raise ValidationError("need at least one episode")
     check_episode_codes(
@@ -169,29 +179,10 @@ def count_segmented(
         for i, start_lo, hi, start_hi in iter_boundary_windows(
             bounds, int(db.size), length
         ):
-            window_db = db[start_lo:hi]
             bnd_counts[i] = count_starts_in(
-                window_db, matrix, alphabet_size, start_lo=0, start_hi=start_hi
+                db[start_lo:hi], matrix, alphabet_size, start_hi
             )
     return SegmentedCount(segment_counts=seg_counts, boundary_counts=bnd_counts)
-
-
-def boundary_window(seg_lo: int, b: int, n: int, length: int) -> "tuple[int, int, int]":
-    """Attribution window for occurrences spanning boundary ``b``.
-
-    Returns ``(start_lo, hi, start_hi)``: the database slice
-    ``[start_lo, hi)`` containing every length-``length`` occurrence
-    that crosses ``b``, and the in-slice start range ``[0, start_hi)``.
-    Each spanning occurrence is attributed to the FIRST boundary it
-    crosses: its start must lie inside the segment ending at ``b``
-    (otherwise an occurrence spanning several short segments would be
-    counted once per boundary).  Shared by :func:`count_segmented` and
-    the sharded engine's database-axis decomposition
-    (:mod:`repro.mining.engines`), which must never drift apart.
-    """
-    start_lo = max(seg_lo, b - length + 1)
-    hi = min(n, b + length - 1)
-    return start_lo, hi, b - start_lo
 
 
 def iter_boundary_windows(
@@ -199,17 +190,22 @@ def iter_boundary_windows(
 ) -> "Iterator[tuple[int, int, int, int]]":
     """Yield ``(i, start_lo, hi, start_hi)`` for each *spannable* boundary.
 
-    Skips boundaries whose attribution window is zero-width — length-1
-    episodes never span, and degenerate splits (zero-width segments)
-    produce windows no occurrence can start in.  The single place this
-    skip condition lives: both :func:`count_segmented` and the sharded
-    engine's database-axis job iterate through here, so the two can
-    never drift on which shards are dispatched.
+    ``db[start_lo:hi]`` holds every length-``length`` occurrence that
+    crosses the boundary ending segment ``i``, and ``[0, start_hi)`` is
+    the in-slice start range attributed to it.  Each spanning
+    occurrence is attributed to the FIRST boundary it crosses: its
+    start must lie inside the segment ending there (otherwise an
+    occurrence spanning several short segments would be counted once
+    per boundary).  Boundaries whose window is zero-width are skipped —
+    length-1 episodes never span, and degenerate splits (zero-width
+    segments) produce windows no occurrence can start in.
     """
     if length <= 1:
         return
     for i, (seg_lo, b) in enumerate(bounds[:-1]):
-        start_lo, hi, start_hi = boundary_window(seg_lo, b, n, length)
+        start_lo = max(seg_lo, b - length + 1)
+        hi = min(n, b + length - 1)
+        start_hi = b - start_lo
         if start_hi <= 0 or hi - start_lo < length:
             continue  # zero-width window: nothing can span here
         yield i, start_lo, hi, start_hi
@@ -219,19 +215,17 @@ def count_starts_in(
     window_db: np.ndarray,
     matrix: np.ndarray,
     alphabet_size: int,
-    start_lo: int,
     start_hi: int,
 ) -> np.ndarray:
-    """Matches of each episode starting in ``[start_lo, start_hi)``.
+    """Matches of each episode starting in ``[0, start_hi)`` of the window.
 
     The window is at most ``2L-2`` characters, so a direct vectorized
-    comparison is cheap.  Public because the sharded counting engine
-    (:mod:`repro.mining.engines`) reuses it as its boundary-fix mapper.
+    comparison is cheap.  :func:`count_segmented`'s span fix.
     """
     length = matrix.shape[1]
     n = window_db.size
     counts = np.zeros(matrix.shape[0], dtype=np.int64)
-    for start in range(start_lo, min(start_hi, n - length + 1)):
+    for start in range(min(start_hi, n - length + 1)):
         seg = window_db[start : start + length]
         counts += (matrix == seg[np.newaxis, :]).all(axis=1)
     return counts

@@ -444,9 +444,10 @@ def resume_positions_trie(
       composes through :func:`repro.mining.spanning.advance_expiring`
       (O(1) for dead entries, bounded lockstep for live ones).
 
-    ``RESET`` is rejected: contiguous occurrences resume by boundary
-    replay (:func:`repro.mining.spanning.count_starts_in`), not by
-    state carry.  Engines expose this as
+    ``RESET`` is rejected: a contiguous occurrence needs no carried
+    state, only the ``L-1`` events before the chunk
+    (:class:`repro.streaming.store.EpisodeStateStore` counts them with
+    it).  Engines expose this as
     :meth:`repro.mining.engines.CountingEngine.resume_batch`.
     """
     db = np.asarray(db)
@@ -470,7 +471,7 @@ def resume_positions_trie(
         )
     raise ValidationError(
         "resume_positions_trie advances SUBSEQUENCE/EXPIRING state; "
-        "RESET resumes by boundary replay, not state carry"
+        "RESET counts each chunk with an L-1 overhang, not state carry"
     )
 
 

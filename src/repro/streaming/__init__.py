@@ -27,11 +27,10 @@ only the symbols it needs, batched across sibling episodes through the
 candidate trie so shared prefixes share hop chains
 (:func:`~repro.mining.trie.resume_positions_trie`, reached via the
 engine's ``resume_batch``).  RESET — whose occurrences never span more
-than a chunk seam — instead counts the chunk standalone with the
-engine's ``count_batch`` (any :mod:`repro.mining.engines` REGISTRY
-engine, dispatched by the same fixed rule as in batch mining) and
-replays the boundary window (the last ``L-1`` retained events against
-the chunk head).  Either
+than a chunk seam — instead counts the last ``L-1`` retained events
+followed by the chunk with the engine's ``count_batch`` (any
+:mod:`repro.mining.engines` REGISTRY engine, dispatched by the same
+fixed rule as in batch mining).  Either
 way the exit state persisted in the
 :class:`~repro.streaming.store.EpisodeStateStore` is bit-identical to
 the scalar FSM having run the whole prefix, so per-chunk interpreter

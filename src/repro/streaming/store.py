@@ -12,12 +12,10 @@ Each arriving chunk is treated as the next *segment* of an unbounded
 database and advanced with the segment/state-carry machinery of
 :mod:`repro.mining.spanning` (paper §3.3.3 / Fig. 5, made incremental):
 
-* ``RESET`` — the chunk is counted standalone by the engine's
-  ``count_batch`` (contiguous occurrences decompose cleanly), plus a
-  *boundary-window replay*: the store keeps the last ``L-1`` events of
-  the prefix and counts occurrences that start in that tail and finish
-  inside the new chunk (:func:`~repro.mining.spanning.count_starts_in`,
-  the Fig. 5 span fix applied at the chunk seam).
+* ``RESET`` — one engine ``count_batch`` of the last ``L-1`` events of
+  the prefix followed by the chunk.  That tail is shorter than an
+  occurrence, so the count holds exactly the occurrences that end in
+  the chunk: those wholly inside it and those crossing the seam.
 * ``SUBSEQUENCE`` / ``EXPIRING`` — *position-hop chunk resume*: the
   chunk's own :class:`~repro.mining.counting.DatabaseIndex` is built
   once and shared across every tracked level, and each episode's
@@ -49,6 +47,7 @@ from repro.mining.counting import _NEG, DatabaseIndex
 from repro.mining.engines import CountingEngine
 from repro.mining.episode import Episode
 from repro.mining.policies import MatchPolicy, validate_window
+# uncalled: perfbench/layers.py SITES pins it (install() reads vars(module)[attr]); ROADMAP item 2 drops it
 from repro.mining.spanning import count_starts_in
 from repro.mining.trie import CandidateTrie
 
@@ -62,7 +61,8 @@ class TrackedLevel:
     the whole stream prefix.  ``sub_states`` (SUBSEQUENCE, shape ``E``)
     and ``exp_times`` (EXPIRING, shape ``(E, L+1)``, absolute indices)
     hold the FSM summaries the next chunk resumes from; RESET carries
-    nothing per-episode (the store's tail buffer covers the seam).
+    nothing per-episode (the store's tail buffer is the overhang the
+    next chunk is counted with).
     ``trie`` is the level's candidate trie, fixed at retrack/restore
     so every chunk advance shares prefix hop chains; ``matrix`` is its
     flat form.
@@ -127,7 +127,7 @@ class EpisodeStateStore:
         self.levels: "dict[int, TrackedLevel]" = {}
         #: absolute index of the next arriving event
         self.events = 0
-        #: last ``max_length - 1`` events seen (RESET boundary replay)
+        #: last ``max_length - 1`` events seen (the RESET overhang)
         self._tail = np.zeros(0, dtype=np.uint8)
 
     @property
@@ -159,9 +159,13 @@ class EpisodeStateStore:
             if self.levels and self.policy is not MatchPolicy.RESET
             else None
         )
+        # a level of length L counts the last L-1 events of the prefix
+        # followed by the chunk: each occurrence ending in the chunk once
+        seamed = np.concatenate([self._tail, chunk])
         for lvl in self.levels.values():
             if self.policy is MatchPolicy.RESET:
-                inc = self._advance_reset(lvl, chunk)
+                start = max(0, self._tail.size - (lvl.length - 1))
+                inc = self._count_reset(seamed[start:], lvl.trie)
             elif self.policy is MatchPolicy.SUBSEQUENCE:
                 inc, lvl.sub_states = self._engine.resume_batch(
                     chunk, lvl.trie, self.policy, None, lvl.sub_states,
@@ -176,27 +180,8 @@ class EpisodeStateStore:
         self.events = t0 + int(chunk.size)
         keep = self.max_length - 1
         if keep > 0:
-            self._tail = np.concatenate([self._tail, chunk])[-keep:]
-
-    def _advance_reset(self, lvl: TrackedLevel, chunk: np.ndarray) -> np.ndarray:
-        """Engine count of the chunk alone + boundary-window replay.
-
-        A contiguous occurrence lies wholly inside the chunk, wholly in
-        the past (already counted), or spans the seam; spanning ones
-        start in the retained tail, so replaying ``tail + head`` with
-        starts restricted to the tail recovers exactly them (the tail
-        is at most ``L-1`` events, so no occurrence fits inside it).
-        """
-        inc = self._count_reset(chunk, lvl.trie)
-        length = lvl.length
-        if length > 1 and self._tail.size and chunk.size:
-            tail = self._tail[-(length - 1):]
-            seam = np.concatenate([tail, chunk[: length - 1]])
-            inc = inc + count_starts_in(
-                seam, lvl.matrix, self.alphabet_size,
-                start_lo=0, start_hi=int(tail.size),
-            )
-        return inc
+            # a copy: a view would pin the whole chunk until the next one
+            self._tail = seamed[-keep:].copy()
 
     # -- tracking lifecycle --------------------------------------------
 

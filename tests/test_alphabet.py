@@ -5,6 +5,8 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.mining.alphabet import Alphabet, UPPERCASE
+from repro.mining.episode import Episode
+from repro.mining.miner import FrequentEpisodeMiner
 
 
 class TestConstruction:
@@ -36,6 +38,20 @@ class TestConstruction:
     def test_oversized_rejected(self):
         with pytest.raises(ValidationError):
             Alphabet.of_size(300)
+
+    def test_256_symbols_fill_uint8(self):
+        """Code 255 fits uint8, so 256 symbols are one too few to
+        reject; a database holding 255 validates and mines."""
+        symbols = tuple(chr(0x100 + i) for i in range(257))
+        with pytest.raises(ValidationError, match="uint8"):
+            Alphabet(symbols)
+        alpha = Alphabet(symbols[:256])
+        db = np.array([255, 254, 255, 254, 0] * 4, dtype=np.uint8)
+        assert alpha.validate_database(db) is db
+        result = FrequentEpisodeMiner(alpha, 0.2, max_level=2).mine(db)
+        top = Episode((255, 254))
+        assert result.all_frequent[top] == 8
+        assert alpha.decode(np.array(top.items)) == "\u01ff\u01fe"
 
     def test_of_size_zero_rejected(self):
         with pytest.raises(ValidationError):

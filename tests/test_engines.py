@@ -37,7 +37,6 @@ from repro.mining.engines import (
     list_engines,
     register_engine,
     spawn_probed_pool,
-    _BoundaryShard,
     _run_shard,
     _SegmentShard,
     _SubtreeShard,
@@ -49,7 +48,6 @@ from repro.mining.policies import MatchPolicy
 from repro.mining.spanning import (
     compose_expiring,
     compose_subsequence,
-    iter_boundary_windows,
     segment_bounds,
 )
 from repro.mining.trie import CandidateTrie, as_trie
@@ -389,13 +387,38 @@ class TestShardedEngine:
     @pytest.mark.parametrize("policy,window", POLICIES)
     def test_more_workers_than_characters(self, policy, window):
         """Degenerate splits (workers > n) must skip the zero-width
-        segment/boundary shards and still count exactly."""
+        segment shards and still count exactly."""
         engine = ShardedEngine(workers=8, min_shard_work=0)
         db = np.array([0, 1, 2, 0, 1], dtype=np.uint8)
         eps = [Episode((0, 1)), Episode((1, 2))]
         got = engine.count_batch(db, as_trie(eps), 3, policy, window)
         ref = count_batch_reference(db, eps, 3, policy, window)
         assert np.array_equal(got, ref), policy
+
+    @pytest.mark.parametrize("n,workers", [(400, 3), (5, 8), (2, 4)])
+    def test_reset_runs_one_overhang_shard_per_nonempty_segment(
+        self, n, workers
+    ):
+        """A sharded RESET count sends one segment shard per nonempty
+        segment, each reading L-1 events past the segment's end, and
+        nothing else: no span-fix shards."""
+
+        class Spy(ShardedEngine):
+            def _run(self, tasks):
+                self.tasks = list(tasks)
+                return super()._run(tasks)
+
+        engine = Spy(workers=workers, min_shard_work=0)
+        db = np.random.default_rng(37).integers(0, 4, n).astype(np.uint8)
+        matrix = np.array([[0, 1, 0], [2, 2, 2], [3, 1, 0]], dtype=np.uint8)
+        got = engine.count_batch(db, as_trie(matrix), 4)
+        spans = [(lo, hi) for lo, hi in segment_bounds(n, workers) if hi > lo]
+        assert len(engine.tasks) == len(spans)
+        for task, (lo, hi) in zip(engine.tasks, spans):
+            assert isinstance(task, _SegmentShard)
+            np.testing.assert_array_equal(task.db, db[lo:hi + 2])
+        ref = count_matrix_reference(db, matrix, MatchPolicy.RESET)
+        assert np.array_equal(got, ref)
 
     def test_episode_axis_preserves_order(self):
         """More episodes than one subtree shard: the scatter back must
@@ -453,9 +476,10 @@ def _pools_available() -> bool:
 
 
 class TestShardedDatabaseAxisCarry:
-    """The SUBSEQUENCE/EXPIRING database-axis split (two-pass state
-    carry) must match the scalar oracle — the paper's §3.3.3 spanning
-    problem solved for the non-decomposable policies."""
+    """The database-axis split must match the scalar oracle: the
+    two-pass state carry for SUBSEQUENCE/EXPIRING (the paper's §3.3.3
+    spanning problem solved for the non-decomposable policies) and the
+    L-1 overhang for RESET."""
 
     @pytest.mark.parametrize("workers", (3, 8))
     @given(data=st.data(), n=small_alphabet)
@@ -472,6 +496,19 @@ class TestShardedDatabaseAxisCarry:
             got = int(engine.count_batch(db, as_trie([ep]), n, policy, w)[0])
             ref = int(count_batch_reference(db, [ep], n, policy, w)[0])
             assert got == ref, (policy, w, workers)
+        # RESET overhang shards: n < workers gives zero-width segments;
+        # a row cut from the database makes sure something occurs
+        reset = ShardedEngine(workers=data.draw(st.integers(2, 5)),
+                              min_shard_work=0)
+        short = data.draw(db_strategy(n, max_len=60))
+        matrix = data.draw(matrix_strategy(n))
+        length = matrix.shape[1]
+        if short.size >= length:
+            at = data.draw(st.integers(0, short.size - length))
+            matrix = np.vstack([matrix, short[at:at + length]])
+        got = reset.count_batch(short, as_trie(matrix), n)
+        ref = count_matrix_reference(short, matrix, MatchPolicy.RESET)
+        assert np.array_equal(got, ref), (reset.workers, matrix.tolist())
 
     def test_occurrence_straddles_three_plus_segments(self):
         """One symbol per worker segment: the occurrence spans them all."""
@@ -695,18 +732,16 @@ class TestShardTasks:
         ref = count_matrix_reference(db, trie.matrix, MatchPolicy.SUBSEQUENCE)
         assert np.array_equal(_run_shard(task), ref)
 
-    def test_segment_and_boundary_shards_sum_to_reset_count(self, workload):
+    def test_overhang_segment_shards_sum_to_reset_count(self, workload):
+        """Each segment read L-1 events past its end counts exactly the
+        occurrences starting in it, so the shards sum to the whole."""
         _, db, trie = workload
         matrix = trie.matrix
-        bounds = segment_bounds(db.size, 3)
-        tasks = [_SegmentShard(db[lo:hi], matrix, 5) for lo, hi in bounds]
-        tasks += [
-            _BoundaryShard(db[start_lo:hi], matrix, 5, start_hi)
-            for _, start_lo, hi, start_hi in iter_boundary_windows(
-                bounds, int(db.size), matrix.shape[1]
-            )
+        overhang = matrix.shape[1] - 1
+        tasks = [
+            _SegmentShard(db[lo:hi + overhang], matrix, 5)
+            for lo, hi in segment_bounds(db.size, 3)
         ]
-        assert len(tasks) == 5  # three segments, two spannable boundaries
         got = np.sum([_run_shard(t) for t in tasks], axis=0)
         ref = count_matrix_reference(db, matrix, MatchPolicy.RESET)
         assert np.array_equal(got, ref)

@@ -152,6 +152,11 @@ class TestExactness:
         with pytest.raises(ValidationError):
             count_segmented(small_db, [], 26, n_segments=4)
 
+    def test_non_2d_matrix_rejected(self):
+        db = np.array([0, 1, 0, 1], np.uint8)
+        with pytest.raises(ValidationError, match="2-D"):
+            count_segmented(db, np.array([0, 1]), 4, n_segments=2)
+
     def test_carry_mode_rejects_oversized_codes(self, small_db):
         with pytest.raises(ValidationError, match="alphabet"):
             count_segmented(

@@ -19,6 +19,7 @@ from repro import cli
 from repro.data.io import save_database
 from repro.errors import ConfigError, ValidationError
 from repro.mining.alphabet import Alphabet
+from repro.mining.counting import count_matrix_reference
 from repro.mining.engines import PositionHopEngine, get_engine
 from repro.mining.episode import Episode
 from repro.mining.miner import FrequentEpisodeMiner
@@ -64,6 +65,11 @@ def stream_case(draw):
     cuts = draw(
         st.lists(st.integers(0, db.size), min_size=n_cuts, max_size=n_cuts)
     )
+    # chunks of 0-2 events: shorter than a level-3 RESET overhang
+    for at, width in draw(st.lists(
+        st.tuples(st.integers(0, db.size), st.integers(0, 2)), max_size=3
+    )):
+        cuts += [at, min(at + width, db.size)]
     threshold = draw(st.sampled_from([0.0, 0.02, 0.08]))
     return alphabet_size, db, cuts, threshold
 
@@ -611,6 +617,55 @@ class TestStateStore:
         promoted, demoted = store.retrack(1, [], np.zeros(0, dtype=np.uint8))
         assert promoted == ()
         assert demoted == (Episode((0,)),)
+
+    def test_reset_advance_is_one_overhang_count_per_level(self, monkeypatch):
+        """A RESET chunk costs each tracked level one ``count_batch`` over
+        the last L-1 events of the prefix followed by the chunk, and no
+        seam replay; chunks shorter than L-1 included."""
+        import repro.mining.spanning as spanning
+        import repro.streaming.store as store_module
+
+        def explode(*args, **kwargs):
+            raise AssertionError("RESET chunks never replay the seam")
+
+        monkeypatch.setattr(spanning, "count_starts_in", explode)
+        monkeypatch.setattr(store_module, "count_starts_in", explode)
+
+        class SpyEngine(PositionHopEngine):
+            def __init__(self):
+                super().__init__()
+                self.counted = []
+
+            def count_batch(self, db, batch, *args, **kwargs):
+                self.counted.append(np.array(db))
+                return super().count_batch(db, batch, *args, **kwargs)
+
+        engine = SpyEngine()
+        store = EpisodeStateStore(
+            4, MatchPolicy.RESET, None, max_length=3, engine=engine
+        )
+        rows = {1: [[0], [3]], 2: [[0, 1], [1, 0]], 3: [[0, 1, 2], [2, 1, 0]]}
+        empty = np.zeros(0, dtype=np.uint8)
+        for level, items in rows.items():
+            store.retrack(level, [Episode(tuple(r)) for r in items], empty)
+        db = np.random.default_rng(5).integers(0, 4, 90).astype(np.uint8)
+        seen = 0
+        for size in (1, 1, 30, 2, 1, 40, 15):
+            chunk = db[seen:seen + size]
+            engine.counted.clear()
+            store.advance(chunk)
+            assert len(engine.counted) == len(rows)
+            for counted, level in zip(engine.counted, store.levels):
+                head = db[max(0, seen - (level - 1)):seen]
+                np.testing.assert_array_equal(
+                    counted, np.concatenate([head, chunk])
+                )
+            seen += size
+        for level, lvl in store.levels.items():
+            ref = count_matrix_reference(
+                db, np.array(rows[level], np.uint8), MatchPolicy.RESET
+            )
+            assert np.array_equal(lvl.counts, ref), level
 
     def test_lazy_history_not_materialized_without_promotion(self):
         store = self.make_store()
