@@ -786,8 +786,7 @@ def run_telemetry_overhead(
                             rec.count("mine.levels")
                             rec.count("mine.candidates", len(episodes))
                             rec.count("mine.frequent", frequent)
-                            rec.count("cache.hits")
-                            rec.count("cache.misses", len(episodes))
+                            rec.count("mine.trie_nodes", trie.n_nodes)
                             sp.attrs["frequent"] = frequent
             checksums.add(int(counts.sum()))
 

@@ -4,8 +4,8 @@
 Runs the level-wise miner with a live :class:`repro.obs.Recorder`
 attached, then walks the structured :class:`~repro.obs.report.RunReport`
 it produced: the span tree (one ``mine`` root, one ``level`` span per
-level), the structural counters (candidates, survivors, count-cache
-hits), and the phase table the ``repro report`` command renders.
+level), the structural counters (candidates, survivors, trie nodes),
+and the phase table the ``repro report`` command renders.
 
 The CLI equivalent::
 

@@ -55,7 +55,6 @@ from repro.gpu import (
 from repro.mining import (
     Alphabet,
     CandidateTrie,
-    CountCache,
     DatabaseIndex,
     Episode,
     FrequentEpisodeMiner,
@@ -130,7 +129,6 @@ __all__ = [
     "Episode",
     "MatchPolicy",
     "CandidateTrie",
-    "CountCache",
     "cached_count_batch",
     "count_batch",
     "count_episode",

@@ -15,7 +15,7 @@ regenerated without writing Python:
   promotion/demotion reporting (see :mod:`repro.streaming`);
 * ``report out.json`` — render a run report written by the ``--trace``
   flag of ``mine``/``stream`` (phase table, counters,
-  cache stats, degradation events; see :mod:`repro.obs`);
+  degradation events; see :mod:`repro.obs`);
 * ``probe`` — run the §6 micro-benchmark suite on a card;
 * ``lint`` — run the contract linter (:mod:`repro.analysis`, rules
   REP001-REP006 per ``CONTRACTS.md``) over the source trees; also
@@ -103,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     mine.add_argument(
         "--trace", type=Path, default=None, metavar="PATH",
-        help="record run telemetry (span tree, counters, cache stats, "
+        help="record run telemetry (span tree, counters, "
         "degradation events) and write it as a JSON run report; "
         "inspect with `repro report PATH`",
     )
@@ -193,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser(
         "report",
         help="render a run report written by --trace: phase table, "
-        "counters, cache stats, degradation events",
+        "counters, degradation events",
     )
     rep.add_argument("path", type=Path, metavar="PATH",
                      help="run-report file written by a --trace run")
@@ -634,9 +634,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print("gauges:")
         for name, value in sorted(report.gauges.items()):
             print(f"  {name} = {value:g}")
-    if report.cache:
-        stats = ", ".join(f"{k}={v:,}" for k, v in report.cache.items())
-        print(f"count cache: {stats}")
     if report.calibration:
         pairs = ", ".join(
             f"{k}={v}" for k, v in sorted(report.calibration.items())

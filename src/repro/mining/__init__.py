@@ -27,7 +27,6 @@ from repro.mining.counting import (
 from repro.mining.spanning import count_segmented, SegmentedCount
 from repro.mining.trie import (
     CandidateTrie,
-    CountCache,
     cached_count_batch,
     count_positions_trie,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "count_segmented",
     "SegmentedCount",
     "CandidateTrie",
-    "CountCache",
     "cached_count_batch",
     "count_positions_trie",
     "BoundEngine",

@@ -65,21 +65,21 @@ once, at the public edges: :func:`repro.mining.counting.count_batch`,
   already advances all episodes through one vectorized state table,
   and the greedy non-overlap reset makes cross-episode FSM state
   diverge after any completion, so there is no exact per-prefix state
-  to share; RESET always flattens to the single O(n) n-gram pass,
-  which is batch-optimal already;
-* **count caching** — ``bind(...)`` adapts an engine to the miner's
-  ``(db, episodes) -> counts`` callable, reusing one
-  :class:`DatabaseIndex` per database (staleness-checked by
-  fingerprint, so in-place mutation of a database array rebuilds
-  instead of silently serving stale counts) and routing every batch
-  through a content-addressed :class:`~repro.mining.trie.CountCache`
-  keyed by ``(db_fingerprint, episode, policy, window)``, so only a
-  count repeated against an identical database (re-mining the same
-  data with the same bound engine) is served without an engine call.
-  Within one mining run every level counts different candidates, so
-  the cache never hits there (a level-4 batch mine records thousands
-  of misses and zero hits); the pipelined and streaming miners call
-  ``count_batch`` directly.
+  to share; RESET always flattens to the single O(n) n-gram pass
+  (:func:`~repro.mining.counting.count_reset_batch`: a gram table
+  while it is small next to n, a sorted episode-code lookup past
+  that, so memory stays O(n + E) at any alphabet and level);
+* **one call per level** — ``bind(...)`` adapts an engine to the
+  miner's ``(db, episodes) -> counts`` callable: each batch is one
+  engine ``count_batch`` through
+  :func:`~repro.mining.trie.cached_count_batch`, which checks that the
+  engine returned one count per candidate.  It reuses one
+  :class:`DatabaseIndex` per database, staleness-checked by content
+  fingerprint on every call, so in-place mutation of a database array
+  rebuilds the index instead of silently serving stale counts.  The
+  name ``cached_count_batch`` is kept only because the benchmark's
+  layer tracing binds it; nothing is cached.  The pipelined and
+  streaming miners call ``count_batch`` directly.
 
 Engine lifecycle
 ----------------
@@ -176,7 +176,6 @@ from repro.mining.episode import Episode
 from repro.mining.policies import MatchPolicy, validate_window
 from repro.mining.trie import (
     CandidateTrie,
-    CountCache,
     as_trie,
     cached_count_batch,
     count_positions_trie,
@@ -312,20 +311,16 @@ class BoundEngine:
 
     The miner's counting callable: caches a :class:`DatabaseIndex` per
     database, so every level of a mining run shares one position
-    extraction.  The cache is keyed by a content fingerprint rather
-    than object identity: mutating the database array in place between
-    calls rebuilds the index instead of silently returning counts from
-    the stale one (the hash is memory-bandwidth cheap next to any
-    counting pass).  Entering a bound engine opens the underlying
-    engine's run scope.
+    extraction.  The index is keyed by a content fingerprint, checked
+    on every call, rather than by object identity: mutating the
+    database array in place between calls — writeable or thawed and
+    re-frozen alike — rebuilds the index instead of silently returning
+    counts from the stale one (the hash is memory-bandwidth cheap next
+    to any counting pass).  Entering a bound engine opens the
+    underlying engine's run scope.
 
-    Every batch routes through a per-binding content-addressed
-    :class:`~repro.mining.trie.CountCache` (keyed by
-    ``(db_fingerprint, episode, policy, window)``): episodes re-counted
-    against an identical database — the same data mined again with
-    this binding — are served from the cache, and a fully repeated
-    ``(db, episode set)`` count makes zero engine calls.  Exact by construction: the key captures every
-    input the count depends on.
+    Each call is one engine ``count_batch``: a mining run counts
+    different candidates at every level, so nothing is memoized.
     """
 
     def __init__(
@@ -334,42 +329,22 @@ class BoundEngine:
         alphabet_size: int,
         policy: MatchPolicy,
         window: int | None,
-        cache: "CountCache | None" = None,
     ) -> None:
         validate_window(policy, window)
         self.engine = engine
         self.alphabet_size = alphabet_size
         self.policy = policy
         self.window = window
-        #: content-addressed count cache for every batch counted here
-        self.cache = cache if cache is not None else CountCache()
         self._fingerprint: str | None = None
-        self._db: np.ndarray | None = None
-        self._frozen_at_index = False
         self._index: DatabaseIndex | None = None
 
-    @staticmethod
-    def _frozen(db: np.ndarray) -> bool:
-        return not db.flags.writeable and db.base is None
-
     def index_for(self, db: np.ndarray) -> DatabaseIndex:
-        if (self._index is not None and self._db is db
-                and self._frozen_at_index and self._frozen(db)):
-            # held read-only (no writeable base aliasing it) since it
-            # was indexed, so it cannot have mutated: skip the staleness
-            # hash — the O(n) escape hatch for huge databases counted
-            # many times.  (Thawing, mutating, and re-freezing between
-            # calls breaks the read-only contract and is not detected;
-            # leave the array writeable to get the hash check instead.)
-            return self._index
         fingerprint = db_fingerprint(db)
         if self._index is None or fingerprint != self._fingerprint:
             self._fingerprint = fingerprint
             # seed the fingerprint so downstream consumers (the sharded
             # engine's worker cache key) never re-hash the database
             self._index = DatabaseIndex(db, fingerprint=fingerprint)
-        self._db = db
-        self._frozen_at_index = self._frozen(db)
         return self._index
 
     def set_recorder(self, recorder: "Recorder | NullRecorder") -> None:
@@ -396,7 +371,7 @@ class BoundEngine:
     def count_batch(
         self, db: np.ndarray, episodes: "CandidateTrie | list[Episode] | np.ndarray"
     ) -> np.ndarray:
-        """Batched counting through the content-addressed count cache."""
+        """One shape-checked engine ``count_batch`` over ``episodes``."""
         return cached_count_batch(
             self.engine,
             db,
@@ -404,7 +379,6 @@ class BoundEngine:
             self.alphabet_size,
             self.policy,
             self.window,
-            cache=self.cache,
             index=self.index_for(db),
         )
 

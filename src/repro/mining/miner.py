@@ -143,9 +143,8 @@ class FrequentEpisodeMiner:
         A :class:`~repro.obs.recorder.Recorder` to trace runs into.
         Each ``mine()`` call opens a root ``mine`` span with one
         ``level`` span per level, records structural counters
-        (candidates, frequent survivors, trie nodes, count-cache
-        hits/misses) and, for instrumented engines, shard-dispatch and
-        gpu-sim telemetry.  ``None`` (default) records nothing at zero
+        (candidates, frequent survivors, trie nodes) and, for
+        instrumented engines, shard-dispatch and gpu-sim telemetry.  ``None`` (default) records nothing at zero
         cost; after a recorded run :attr:`last_report` holds the
         structured :class:`~repro.obs.report.RunReport`.
     """
@@ -221,7 +220,6 @@ class FrequentEpisodeMiner:
             raise ValidationError("cannot mine an empty database")
         rec = resolve_recorder(self.recorder)
         engine = self._engine
-        cache = engine.cache
         levels: list[LevelResult] = []
         # every level counts through the trie batch representation:
         # generate_next_level emits tries directly, and the exhaustive /
@@ -237,7 +235,6 @@ class FrequentEpisodeMiner:
                         with rec.span(
                             "level", level=level, candidates=len(candidates)
                         ) as sp:
-                            before = cache.stats() if rec.enabled else None
                             counts = engine(db, candidates)
                             result, frequent = eliminate_level(
                                 level, candidates, counts, n, self.threshold
@@ -249,15 +246,6 @@ class FrequentEpisodeMiner:
                                 rec.count("mine.frequent", result.n_frequent)
                                 rec.count("mine.trie_nodes", candidates.n_nodes)
                                 sp.attrs["frequent"] = result.n_frequent
-                                if before is not None:
-                                    after = cache.stats()
-                                    d_hits = after["hits"] - before["hits"]
-                                    d_miss = after["misses"] - before["misses"]
-                                    rec.count("cache.hits", d_hits)
-                                    rec.count("cache.misses", d_miss)
-                                    sp.attrs.update(
-                                        cache_hits=d_hits, cache_misses=d_miss
-                                    )
                             if not frequent or level == self.max_level:
                                 break
                             level += 1
@@ -278,7 +266,6 @@ class FrequentEpisodeMiner:
                 rec,
                 command="mine",
                 degradation_events=self.degradation_events,
-                cache=cache.stats(),
                 calibration=calibration_provenance(),
                 meta={
                     "engine": engine.engine.name,

@@ -179,9 +179,7 @@ def count_segmented(
         for i, start_lo, hi, start_hi in iter_boundary_windows(
             bounds, int(db.size), length
         ):
-            bnd_counts[i] = count_starts_in(
-                db[start_lo:hi], matrix, alphabet_size, start_hi
-            )
+            bnd_counts[i] = count_starts_in(db[start_lo:hi], matrix, start_hi)
     return SegmentedCount(segment_counts=seg_counts, boundary_counts=bnd_counts)
 
 
@@ -212,10 +210,7 @@ def iter_boundary_windows(
 
 
 def count_starts_in(
-    window_db: np.ndarray,
-    matrix: np.ndarray,
-    alphabet_size: int,
-    start_hi: int,
+    window_db: np.ndarray, matrix: np.ndarray, start_hi: int
 ) -> np.ndarray:
     """Matches of each episode starting in ``[0, start_hi)`` of the window.
 

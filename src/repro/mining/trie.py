@@ -1,4 +1,4 @@
-"""Shared-prefix candidate tries and the content-addressed count cache.
+"""Shared-prefix candidate tries and the trie-walk counting passes.
 
 At every mining level thousands of candidates share prefixes over the
 *same* database (Table 1: N!/(N-L)! episodes per level, N-1 extensions
@@ -36,15 +36,10 @@ the segment summaries of the two-pass state carry
 every position-hop summary and resume in the program goes through
 these walks.
 
-:class:`CountCache` is the content-addressed count cache: keyed by
-``(db_fingerprint, episode items, policy, window)`` — the PR 3
-fingerprint machinery — so a count is a pure function of its key and
-cached values can never go stale.  :func:`cached_count_batch` is the
-entry point ``BoundEngine`` (the batch miner's counting callable)
-routes through: cache hits are served without touching the engine,
-misses are batched into *one* engine ``count_batch`` call (rebuilt as
-a trie to keep prefix sharing), and a fully-hit repeat of a
-``(db, episode set)`` count makes zero engine calls.
+:func:`cached_count_batch` is the batch miner's counting step: one
+engine ``count_batch`` per level, shape-checked.  It caches nothing —
+Algorithm 1 counts different candidates at every level — and keeps its
+name only because the benchmark's layer tracing binds it.
 """
 
 from __future__ import annotations
@@ -54,10 +49,11 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.errors import MiningError, ValidationError
+# uncalled: perfbench/layers.py SITES pins it (install() reads vars(module)[attr]); ROADMAP item 2 drops it
+from repro.mining.counting import db_fingerprint
 from repro.mining.counting import (
     _NEG,
     DatabaseIndex,
-    db_fingerprint,
     _expiring_exit_row,
     _hop_positions,
     _resume_subsequence_hopping,
@@ -75,7 +71,6 @@ if TYPE_CHECKING:  # runtime import would cycle through engines
 
 __all__ = [
     "CandidateTrie",
-    "CountCache",
     "as_trie",
     "cached_count_batch",
     "count_positions_trie",
@@ -828,64 +823,6 @@ def _lift_steps(
     return steps
 
 
-class CountCache:
-    """Bounded LRU cache of episode counts, content-addressed.
-
-    Keys are ``(db_fingerprint, items, policy value, window)`` — every
-    input the count is a function of, nothing it is not — so entries
-    can never go stale: a mutated database changes its fingerprint and
-    simply misses.  ``hits``/``misses``/``evictions`` expose
-    effectiveness; :meth:`stats` bundles them (plus the current size)
-    for the telemetry recorder (:mod:`repro.obs`) and run reports.
-    """
-
-    __slots__ = ("max_entries", "hits", "misses", "evictions", "_data")
-
-    def __init__(self, max_entries: int = 65536) -> None:
-        if max_entries < 1:
-            raise ValidationError(
-                f"max_entries must be >= 1, got {max_entries}"
-            )
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._data: "dict[tuple, int]" = {}
-
-    def get(self, key: tuple) -> "int | None":
-        value = self._data.pop(key, None)
-        if value is None:
-            self.misses += 1
-            return None
-        self._data[key] = value  # re-insert: most-recently-used
-        self.hits += 1
-        return value
-
-    def put(self, key: tuple, value: int) -> None:
-        self._data.pop(key, None)
-        while len(self._data) >= self.max_entries:
-            self._data.pop(next(iter(self._data)))
-            self.evictions += 1
-        self._data[key] = value
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def clear(self) -> None:
-        self._data.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def stats(self) -> "dict[str, int]":
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "entries": len(self._data),
-        }
-
-
 def cached_count_batch(
     engine: "CountingEngine",
     db: np.ndarray,
@@ -894,61 +831,25 @@ def cached_count_batch(
     policy: MatchPolicy,
     window: "int | None" = None,
     *,
-    cache: CountCache,
     index: "DatabaseIndex | None" = None,
 ) -> np.ndarray:
-    """Count ``batch`` through ``cache``, dispatching only the misses.
+    """Count ``batch`` with one ``engine.count_batch`` call.
 
-    Hits are served straight from the cache; misses are gathered into
-    one ``engine.count_batch`` call — rebuilt as a :class:`CandidateTrie`
-    so prefix sharing survives partial hits — then stored.  A repeated
-    ``(db, episode set, policy, window)`` count therefore makes *zero*
-    engine calls.  Exact by construction: the key captures every input
-    the count depends on.  An engine returning the wrong number of
-    counts raises :class:`~repro.errors.MiningError`.  Caller owns the
+    The batch miner's counting step (``BoundEngine`` routes every level
+    here): flat batches become a :class:`CandidateTrie`, and an engine
+    returning the wrong number of counts raises
+    :class:`~repro.errors.MiningError`.  Nothing is cached — every level
+    of a mining run counts different candidates; the name is kept
+    because the benchmark's layer tracing binds it.  Caller owns the
     engine's run scope.
     """
-    if isinstance(batch, CandidateTrie):
-        matrix = batch.matrix
-    elif isinstance(batch, np.ndarray):
-        matrix = batch
-    else:
-        matrix = episodes_to_matrix(list(batch))
-    n_eps = int(matrix.shape[0])
-    if n_eps == 0:
-        return np.zeros(0, dtype=np.int64)
-    if index is not None and index.db is db:
-        fingerprint = index.fingerprint
-    else:
-        fingerprint = db_fingerprint(db)
-    win = None if window is None else int(window)
-    keys = [
-        (fingerprint, tuple(row), policy.value, win)
-        for row in matrix.tolist()
-    ]
-    out = np.zeros(n_eps, dtype=np.int64)
-    missing: "list[int]" = []
-    for i, key in enumerate(keys):
-        hit = cache.get(key)
-        if hit is None:
-            missing.append(i)
-        else:
-            out[i] = hit
-    if missing:
-        if len(missing) == n_eps and isinstance(batch, CandidateTrie):
-            sub: "CandidateTrie | np.ndarray" = batch
-        else:
-            sub = CandidateTrie.from_matrix(matrix[missing])
-        counts = np.asarray(engine.count_batch(
-            db, sub, alphabet_size, policy, window, index=index
-        ))
-        if counts.shape != (len(missing),):
-            raise MiningError(
-                f"engine {engine.name!r} returned shape {counts.shape} "
-                f"for {len(missing)} candidates"
-            )
-        for j, i in enumerate(missing):
-            value = int(counts[j])
-            out[i] = value
-            cache.put(keys[i], value)
-    return out
+    trie = as_trie(batch)
+    counts = np.asarray(engine.count_batch(
+        db, trie, alphabet_size, policy, window, index=index
+    ))
+    if counts.shape != (len(trie),):
+        raise MiningError(
+            f"engine {engine.name!r} returned shape {counts.shape} "
+            f"for {len(trie)} candidates"
+        )
+    return counts

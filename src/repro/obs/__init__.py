@@ -4,9 +4,8 @@ The telemetry substrate the multi-dimensional characterization needs at
 *runtime* (ROADMAP items 2 and 4): a :class:`Recorder` collects a span
 tree with monotonic timings plus structural counters/gauges while a
 mining or streaming run executes, and a :class:`RunReport` serializes
-the result — spans, counters, degradation events, cache stats —
-through the atomic artifact layer with a
-versioned schema.
+the result — spans, counters, degradation events — through the atomic
+artifact layer with a versioned schema.
 
 Design rules (see CONTRACTS.md · Observability contract):
 
@@ -18,7 +17,7 @@ Design rules (see CONTRACTS.md · Observability contract):
   gated by the ``telemetry_overhead`` bench series — is unchanged;
 * recorders never cross a process boundary: worker processes are not
   instrumented, the parent observes shards from its side of the pool;
-* counters and gauges are structural (candidate counts, cache hits,
+* counters and gauges are structural (candidate counts, trie nodes,
   selector choices — pure functions of the seeded input); wallclock
   lives only in span timings, so two seeded runs produce identical
   counters even though their spans time differently.

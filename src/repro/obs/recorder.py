@@ -7,7 +7,7 @@ collects:
   ``with recorder.span(name, **attrs):`` — timed through the
   :mod:`repro.obs.clock` seam;
 * flat integer ``counters`` (monotone accumulators: candidates counted,
-  cache hits, shards dispatched) and float ``gauges`` (last-write-wins
+  trie nodes, shards dispatched) and float ``gauges`` (last-write-wins
   readings: selected thread count, kernel milliseconds);
 
 Spans balance under exceptions (the context manager closes the span in

@@ -2,9 +2,10 @@
 
 A :class:`RunReport` snapshots a :class:`~repro.obs.recorder.Recorder`
 plus the run's structural context — degradation events from the
-supervised fleet, count-cache statistics, the ``calibration`` entry
-(``{"source": "none"}`` from the miners, whose dispatch is a fixed
-rule; kept so schema-1 reports keep loading) — into one JSON payload
+supervised fleet, the ``calibration`` entry (``{"source": "none"}``
+from the miners, whose dispatch is a fixed rule) and a ``cache`` entry
+(``null``: no miner caches counts; both fields stay so schema-1 reports
+keep loading) — into one JSON payload
 with a versioned schema (:data:`REPORT_SCHEMA`).
 Writes are atomic through :func:`repro.resilience.artifacts.
 write_json_artifact`; reads route through ``read_json_artifact`` so a
@@ -112,7 +113,6 @@ class RunReport:
         recorder: "Recorder | NullRecorder",
         command: str,
         degradation_events: "Iterable[Any]" = (),
-        cache: "Mapping[str, int] | None" = None,
         calibration: "Mapping[str, Any] | None" = None,
         meta: "Mapping[str, Any] | None" = None,
     ) -> "RunReport":
@@ -131,7 +131,6 @@ class RunReport:
             counters=dict(recorder.counters),
             gauges={k: float(v) for k, v in recorder.gauges.items()},
             degradation_events=[_event_payload(e) for e in degradation_events],
-            cache=dict(cache) if cache is not None else None,
             calibration=dict(calibration) if calibration is not None else None,
             meta=dict(meta) if meta is not None else None,
             dropped_spans=recorder.dropped_spans,

@@ -1,6 +1,8 @@
 """Tests for vectorized counting against the scalar FSM oracle,
 including hypothesis property tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from repro.mining.counting import (
     count_batch,
     count_batch_reference,
     count_episode,
+    count_matrix_reference,
+    count_reset_batch,
     encode_episodes,
     ngram_counts,
 )
@@ -73,6 +77,64 @@ class TestNgramCounts:
         # counts through it rejects the 2-D array first
         with pytest.raises(ValidationError, match="1-D"):
             count_batch(np.zeros((2, 5), dtype=np.uint8), [Episode((0,))], 26)
+
+
+class TestResetBatchMemory:
+    """RESET batches past ``_TABLE_PER_EVENT`` table entries per event
+    look each gram up in the batch's episode codes instead of
+    allocating the ``alphabet_size ** L`` table."""
+
+    @pytest.mark.parametrize(
+        "alphabet_size,length,n",
+        [(4, 3, 400), (16, 4, 1024), (4, 6, 60), (256, 3, 1000), (26, 5, 700)],
+    )
+    def test_matches_oracle_on_both_sides_of_the_switch(
+        self, alphabet_size, length, n
+    ):
+        rng = np.random.default_rng(alphabet_size * 31 + length)
+        # a tiny alphabet inside a wide one, so long grams recur
+        db = rng.integers(0, 3, n).astype(np.uint8)
+        matrix = rng.integers(0, 3, (40, length))
+        matrix[1] = matrix[0]  # duplicate rows
+        matrix[2, :] = 1  # repeated symbols
+        matrix[3] = db[:length]  # one gram that is certainly present
+        matrix[4, 0] = alphabet_size - 1  # one gram that is not
+        got = count_reset_batch(db, matrix, alphabet_size)
+        ref = count_matrix_reference(db, matrix, MatchPolicy.RESET)
+        assert np.array_equal(got, ref)
+        assert got[3] >= 1
+
+    def test_table_path_is_taken_only_while_small(self, monkeypatch):
+        import repro.mining.counting as counting
+
+        tables = []
+        real = counting.ngram_counts
+        monkeypatch.setattr(
+            counting, "ngram_counts",
+            lambda *a: tables.append(a[1]) or real(*a),
+        )
+        db = np.zeros(1024, dtype=np.uint8)
+        matrix = np.zeros((2, 4), dtype=np.int64)
+        count_reset_batch(db, matrix, 16)  # 16**4 = 64n: the table
+        count_reset_batch(db, np.zeros((2, 5), dtype=np.int64), 16)
+        assert tables == [4]
+
+    def test_wide_alphabet_peak_stays_small(self):
+        rng = np.random.default_rng(3)
+        db = rng.integers(0, 256, 1000).astype(np.uint8)
+        matrix = rng.integers(0, 256, (10, 3))
+        tracemalloc.start()
+        try:
+            count_reset_batch(db, matrix, 256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20  # the 256**3 table alone is 128 MiB
+
+    def test_empty_and_short_inputs(self):
+        db = np.array([1, 2], dtype=np.uint8)
+        assert count_reset_batch(db, np.zeros((0, 3), np.int64), 200).size == 0
+        assert list(count_reset_batch(db, np.ones((2, 3), np.int64), 200)) == [0, 0]
 
 
 class TestEncodeEpisodes:

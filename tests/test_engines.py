@@ -281,21 +281,33 @@ class TestDatabaseIndex:
         other = np.random.default_rng(10).integers(0, 4, 100).astype(np.uint8)
         assert bound.index_for(other) is not first
 
-    def test_bound_engine_frozen_array_skips_hash_but_stays_exact(self):
-        """Mutating and *then* freezing must still be caught (the
-        read-only fast path only applies to arrays frozen since they
-        were indexed); an always-frozen array reuses its index."""
+    def test_bound_engine_thawed_and_refrozen_database_recounts(self):
+        """A read-only array can be thawed, mutated and frozen again
+        between calls; the fingerprint check on every call catches it."""
         bound = get_engine("position-hop").bind(3, MatchPolicy.SUBSEQUENCE)
         eps = [Episode((0, 1))]
         db = np.array([0, 1, 0, 1], dtype=np.uint8)
-        assert int(bound(db, eps)[0]) == 2  # indexed while writeable
+        db.flags.writeable = False
+        assert int(bound(db, eps)[0]) == 2
+        db.flags.writeable = True
         db[:] = 2
-        db.flags.writeable = False  # freeze AFTER mutating: no fast path
+        db.flags.writeable = False
         assert int(bound(db, eps)[0]) == 0
-        frozen = np.array([0, 1, 0, 1], dtype=np.uint8)
-        frozen.flags.writeable = False
-        first = bound.index_for(frozen)
-        assert bound.index_for(frozen) is first  # fast path engaged
+        assert bound.index_for(db) is bound.index_for(db)  # content unchanged
+
+    def test_miner_recounts_thawed_and_refrozen_database(self):
+        alpha = Alphabet.of_size(3)
+        miner = FrequentEpisodeMiner(alpha, 0.01, max_level=1)
+        db = np.array([0, 1, 2] * 10, dtype=np.uint8)
+        db.flags.writeable = False
+        first = miner.mine(db).levels[0]
+        assert first.counts == (10, 10, 10)
+        db.flags.writeable = True
+        db[:] = 0
+        db.flags.writeable = False
+        again = miner.mine(db).levels[0]
+        assert again.frequent == (Episode((0,)),)
+        assert again.counts == (30,)
 
     def test_bound_engine_detects_inplace_mutation(self):
         """Regression: the index cache was keyed by object identity, so

@@ -32,6 +32,26 @@ class TestSerialMiner:
         assert miner.last_timing.db_length == 600
         assert miner.last_timing.chars_per_second > 0
 
+    def test_repeat_mine_counts_and_times_again(self, workload):
+        """The CPU baseline re-counts on every mine: a repeat over the
+        same database calls the engine again and replaces the timing."""
+        alpha, db = workload
+        miner = SerialMiner(alpha, threshold=0.05)
+        first_result = miner.mine(db)
+        first = miner.last_timing
+        calls = []
+        engine = miner._engine
+        original = engine.count_batch
+
+        def spy(*args, **kwargs):
+            calls.append(len(args[1]))
+            return original(*args, **kwargs)
+
+        engine.count_batch = spy
+        assert miner.mine(db).all_frequent == first_result.all_frequent
+        assert calls and calls[0] == alpha.size
+        assert miner.last_timing is not first
+
     def test_raw_count_exposed(self, workload):
         alpha, db = workload
         from repro.mining.candidates import generate_level

@@ -1,10 +1,8 @@
-"""The shared-prefix trie refactor (PR 8): structure, caching, speed.
+"""The shared-prefix trie refactor (PR 8): structure and speed.
 
 Covers the trie/batch-count contract (see ``CONTRACTS.md``): episode
 index stability, deterministic child ordering, the Sequence drop-in
-behaviour, subtree sharding groups, the content-addressed count cache
-(including the zero-engine-calls repeat guarantee), the Episode hash
-precompute, and the level-3 acceptance floor: trie-batched position-hop
+behaviour, subtree sharding groups, the Episode hash precompute, and the level-3 acceptance floor: trie-batched position-hop
 counting >= 1.5x counting each episode alone, with bit-identical counts.
 """
 
@@ -22,16 +20,13 @@ from repro.mining.counting import (
     DatabaseIndex,
     count_batch_reference,
     count_episode,
-    db_fingerprint,
 )
-from repro.mining.engines import BoundEngine, get_engine
+from repro.mining.engines import get_engine
 from repro.mining.episode import Episode
 from repro.mining.policies import MatchPolicy
 from repro.mining.trie import (
     CandidateTrie,
-    CountCache,
     as_trie,
-    cached_count_batch,
     count_positions_trie,
 )
 
@@ -313,143 +308,6 @@ class TestLeafIndexWidth:
 
         assert _index_dtype(2**31 - 1) is np.int32
         assert _index_dtype(2**31) is np.int64
-
-
-class TestCountCache:
-    def test_lru_eviction(self):
-        cache = CountCache(max_entries=2)
-        cache.put(("a",), 1)
-        cache.put(("b",), 2)
-        assert cache.get(("a",)) == 1  # refresh: "a" is now most recent
-        cache.put(("c",), 3)  # evicts "b"
-        assert cache.get(("b",)) is None
-        assert cache.get(("a",)) == 1
-        assert cache.get(("c",)) == 3
-        assert len(cache) == 2
-
-    def test_stats_and_clear(self):
-        cache = CountCache()
-        cache.put(("k",), 9)
-        cache.get(("k",))
-        cache.get(("missing",))
-        assert cache.stats() == {
-            "hits": 1, "misses": 1, "evictions": 0, "entries": 1,
-        }
-        cache.clear()
-        assert cache.stats() == {
-            "hits": 0, "misses": 0, "evictions": 0, "entries": 0,
-        }
-
-    def test_evictions_counted(self):
-        cache = CountCache(max_entries=2)
-        cache.put(("a",), 1)
-        cache.put(("b",), 2)
-        cache.put(("c",), 3)  # evicts ("a",), the LRU entry
-        assert cache.stats()["evictions"] == 1
-        assert cache.stats()["entries"] == 2
-        assert cache.get(("a",)) is None
-
-
-class _SpyEngine:
-    """Counts engine dispatches; delegates to a real engine."""
-
-    def __init__(self):
-        self.inner = get_engine("position-hop")
-        self.calls = 0
-
-    def count_batch(self, db, batch, alphabet_size, policy, window=None,
-                    index=None):
-        self.calls += 1
-        with self.inner:
-            return self.inner.count_batch(
-                db, batch, alphabet_size, policy, window, index=index
-            )
-
-
-class TestCachedCountBatch:
-    def test_repeat_count_makes_zero_engine_calls(self):
-        db = small_db()
-        trie = CandidateTrie.from_episodes(generate_level(ALPHA, 2))
-        spy, cache = _SpyEngine(), CountCache()
-        first = cached_count_batch(
-            spy, db, trie, ALPHA.size, MatchPolicy.SUBSEQUENCE, cache=cache
-        )
-        assert spy.calls == 1
-        second = cached_count_batch(
-            spy, db, trie, ALPHA.size, MatchPolicy.SUBSEQUENCE, cache=cache
-        )
-        assert spy.calls == 1  # fully hit: the engine was never touched
-        assert np.array_equal(first, second)
-        assert cache.hits == len(trie)
-
-    def test_partial_hit_dispatches_only_misses(self):
-        db = small_db()
-        eps = generate_level(ALPHA, 2)
-        spy, cache = _SpyEngine(), CountCache()
-        half = CandidateTrie.from_episodes(eps[: len(eps) // 2])
-        cached_count_batch(
-            spy, db, half, ALPHA.size, MatchPolicy.SUBSEQUENCE, cache=cache
-        )
-        full = CandidateTrie.from_episodes(eps)
-        got = cached_count_batch(
-            spy, db, full, ALPHA.size, MatchPolicy.SUBSEQUENCE, cache=cache
-        )
-        assert spy.calls == 2
-        assert cache.hits == len(eps) // 2
-        ref = count_batch_reference(
-            db, eps, ALPHA.size, MatchPolicy.SUBSEQUENCE, None
-        )
-        assert np.array_equal(got, ref)
-
-    def test_mutated_database_misses_cleanly(self):
-        db = small_db()
-        trie = CandidateTrie.from_episodes(generate_level(ALPHA, 2))
-        spy, cache = _SpyEngine(), CountCache()
-        cached_count_batch(
-            spy, db, trie, ALPHA.size, MatchPolicy.SUBSEQUENCE, cache=cache
-        )
-        db2 = np.roll(db, 1)
-        got = cached_count_batch(
-            spy, db2, trie, ALPHA.size, MatchPolicy.SUBSEQUENCE, cache=cache
-        )
-        assert spy.calls == 2  # new fingerprint: a clean miss, not staleness
-        ref = count_batch_reference(
-            db2, list(trie), ALPHA.size, MatchPolicy.SUBSEQUENCE, None
-        )
-        assert np.array_equal(got, ref)
-
-    def test_policy_and_window_are_part_of_the_key(self):
-        db = small_db()
-        trie = CandidateTrie.from_episodes(generate_level(ALPHA, 2))
-        spy, cache = _SpyEngine(), CountCache()
-        for policy, window in (
-            (MatchPolicy.SUBSEQUENCE, None),
-            (MatchPolicy.EXPIRING, 3),
-            (MatchPolicy.EXPIRING, 4),
-        ):
-            got = cached_count_batch(
-                spy, db, trie, ALPHA.size, policy, window, cache=cache
-            )
-            ref = count_batch_reference(
-                db, list(trie), ALPHA.size, policy, window
-            )
-            assert np.array_equal(got, ref), (policy, window)
-        assert spy.calls == 3  # no cross-policy/window collisions
-
-    def test_bound_engine_repeat_count_is_fully_cached(self):
-        """The miner-facing surface: a second identical level count on
-        one binding is served entirely from the per-binding cache."""
-        db = small_db()
-        trie = CandidateTrie.from_episodes(generate_level(ALPHA, 2))
-        bound = get_engine("position-hop").bind(
-            ALPHA.size, MatchPolicy.SUBSEQUENCE, None
-        )
-        with bound:
-            first = bound(db, trie)
-            assert bound.cache.misses == len(trie)
-            second = bound(db, trie)
-        assert np.array_equal(first, second)
-        assert bound.cache.hits == len(trie)
 
 
 class TestEpisodeHashCaching:
