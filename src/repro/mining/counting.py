@@ -20,9 +20,12 @@ registry that names and selects them):
   of the candidate trie, with every leaf's greedy non-overlapped count
   resolved in one vectorized chase, handed to binary lifting when a
   few long chains would keep it going
-  (:func:`repro.mining.trie.count_positions_trie`).  Interpreter work
-  is independent of n, which is what kills the per-character sweeps on
-  realistic databases.  :func:`count_episode` hops one episode as a
+  (:func:`repro.mining.trie.count_positions_trie`).  Wide SUBSEQUENCE
+  batches instead run every episode's FSM together, one gather per
+  matched symbol over the database's next-occurrence table
+  (:meth:`DatabaseIndex.next_table`).  Interpreter work is independent
+  of n, which is what kills the per-character sweeps on realistic
+  databases.  :func:`count_episode` hops one episode as a
   single chain (:func:`_chain_positions`) and resolves its count in
   O(log m) binary-lifting rounds (:func:`_walk_jump_chain`), without a
   trie's per-batch set-up.
@@ -81,6 +84,9 @@ class DatabaseIndex:
     Instances are cheap to construct (no work until first lookup) and
     are meant to be built once per database and threaded through every
     counting call against it — the level-wise miner does exactly that.
+    The SUBSEQUENCE chase's next-occurrence table (:meth:`next_table`)
+    is cached here too, so every level and shard counted against one
+    index builds it once.
     """
 
     def __init__(self, db: np.ndarray, fingerprint: "str | None" = None) -> None:
@@ -89,6 +95,8 @@ class DatabaseIndex:
         self._sorted: np.ndarray | None = None
         self._cache: dict[int, np.ndarray] = {}
         self._fingerprint = fingerprint
+        self._width: int | None = None
+        self._next: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -122,6 +130,50 @@ class DatabaseIndex:
         pos = self._order[lo:hi]
         self._cache[symbol] = pos
         return pos
+
+    @property
+    def table_width(self) -> int:
+        """Columns of :meth:`next_table`: one per code up to the
+        database's largest, plus one that never matches."""
+        if self._width is None:
+            self._width = int(self.db.max()) + 2 if self.n else 1
+        return self._width
+
+    def next_table(self) -> np.ndarray:
+        """The flat next-occurrence table, built on first call and cached.
+
+        With ``w = table_width``, entry ``i*w + a`` is ``(j+1)*w`` for
+        the first ``j >= i`` with ``db[j] == a``: the scan position just
+        past that occurrence, pre-scaled to its row, so one FSM step is
+        ``p = T[p + a]``.  "None" is ``(n+1)*w``, the dead row, whose
+        entries all map back to it; the last column never matches, so
+        codes absent from the database clip to it.  Rows ``0..n+1``:
+        ``(n+2)*w`` entries, int32 while they fit (:func:`_table_dtype`).
+        """
+        if self._next is None:
+            n, width = self.n, self.table_width
+            dtype = _table_dtype(n, width)
+            table = np.full((n + 2, width), (n + 1) * width, dtype=dtype)
+            table[np.arange(n), self.db] = np.arange(1, n + 1, dtype=dtype) * width
+            # suffix minimum, in place: each row takes the first
+            # occurrence at or after it
+            rows = table[n::-1]
+            np.minimum.accumulate(rows, axis=0, out=rows)
+            self._next = table.ravel()
+        return self._next
+
+
+def _index_dtype(top: int) -> "type[np.signedinteger]":
+    """Narrowest index dtype holding ``0..top``: int32 while it fits
+    (half the memory of int64), int64 beyond."""
+    return np.int32 if top <= np.iinfo(np.int32).max else np.int64
+
+
+def _table_dtype(n: int, width: int) -> "type[np.signedinteger]":
+    """Entry dtype of an ``n``-event next-occurrence table ``width``
+    columns wide: int32 while its ``(n+2)*width`` entries stay below
+    ``2**31`` (every value and step index is smaller), int64 beyond."""
+    return _index_dtype((n + 2) * width)
 
 
 def db_fingerprint(db: np.ndarray) -> str:

@@ -58,7 +58,10 @@ once, at the public edges: :func:`repro.mining.counting.count_batch`,
 * **where sharing happens** — ``position-hop`` hops each trie edge
   once, reusing the parent node's position-list frontier for all
   children (exact because the frontier depends only on the consumed
-  prefix — see :func:`repro.mining.trie.count_positions_trie`);
+  prefix — see :func:`repro.mining.trie.count_positions_trie`); wide
+  SUBSEQUENCE batches share the database's next-occurrence table
+  instead, cached on the ``DatabaseIndex`` so every level and every
+  shard a worker counts against it builds it once;
   ``sharded`` ships whole root subtrees per shard (prefix sharing
   survives inside every shard; explicit index arrays scatter results
   back exactly); ``vector-sweep`` flattens — its per-character sweep
@@ -462,13 +465,15 @@ class PositionHopEngine(CountingEngine):
         window: int | None = None,
         index: DatabaseIndex | None = None,
     ) -> np.ndarray:
-        """Trie-shared position-list counting.
+        """Trie-shared position-list counting
+        (:func:`repro.mining.trie.count_positions_trie`).
 
-        SUBSEQUENCE/EXPIRING hop each trie *edge* once, reusing the
-        parent node's completion frontier for all children
-        (:func:`repro.mining.trie.count_positions_trie`) — O(trie
-        edges) hops instead of O(E·L).  RESET keeps the single O(n)
-        n-gram pass (already batch-optimal).
+        Wide SUBSEQUENCE batches run every episode's FSM together over
+        the database's next-occurrence table, one gather per matched
+        symbol.  Narrow SUBSEQUENCE batches and EXPIRING hop each trie
+        *edge* once, reusing the parent node's completion frontier for
+        all children — O(trie edges) hops instead of O(E·L).  RESET
+        keeps the single O(n) n-gram pass (already batch-optimal).
         """
         validate_window(policy, window)
         if len(batch) == 0:

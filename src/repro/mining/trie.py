@@ -5,11 +5,20 @@ At every mining level thousands of candidates share prefixes over the
 per surviving base).  A flat ``list[Episode]`` forgets that structure,
 so every engine re-advances each episode from scratch — O(E·L)
 position-list hops per batch.  :class:`CandidateTrie` keeps it: a batch
-of same-length episodes stored as a prefix tree, so counting can hop
-each trie *edge* once and reuse the parent node's position-list
-frontier for all children — O(trie nodes) hops, which on the level-3
+of same-length episodes stored as a prefix tree, so the frontier walk
+can hop each trie *edge* once and reuse the parent node's position-list
+frontier for all children — O(trie edges) hops, which on the level-3
 characterization grid (N=26, 15,600 candidates) is 16,276 edges instead
 of 46,800 per-episode hops.
+
+Wide SUBSEQUENCE batches skip the walk: as in the paper's
+thread-per-episode kernels, every episode's FSM runs at once, one
+gather per symbol over the database's next-occurrence table
+(:meth:`repro.mining.counting.DatabaseIndex.next_table`), so the work
+follows the episodes' occurrence counts rather than one O(n) pass per
+leaf parent (:func:`_chase`).  One width rule (``_CHASE_MIN_LANES``)
+picks between the two; narrow batches, alphabets too wide for the
+table and every EXPIRING call take the walk.
 
 Contract (relied on across engines/miner/streaming — see
 ``CONTRACTS.md``):
@@ -53,9 +62,11 @@ from repro.errors import MiningError, ValidationError
 from repro.mining.counting import db_fingerprint
 from repro.mining.counting import (
     _NEG,
+    _TABLE_PER_EVENT,
     DatabaseIndex,
     _expiring_exit_row,
     _hop_positions,
+    _index_dtype,
     _resume_subsequence_hopping,
 )
 from repro.mining.episode import Episode, episodes_to_matrix
@@ -357,7 +368,14 @@ def count_positions_trie(
     """Position-list counts for a trie batch: SUBSEQUENCE
     (``window=None``) or EXPIRING (``window`` set).
 
-    The trie-shared analogue of the single-episode chain
+    A SUBSEQUENCE batch of at least ``_CHASE_MIN_LANES`` episodes over
+    a database whose next-occurrence table fits ``_TABLE_PER_EVENT``
+    columns runs every episode's FSM together over that table
+    (:func:`_chase`): about one gather per matched symbol, no O(n)
+    pass per leaf parent, and one table of ``(n+2)*(A+1)`` entries
+    cached on ``index``.  Everything else takes the frontier walk.
+
+    The walk is the trie-shared analogue of the single-episode chain
     (:func:`repro.mining.counting._chain_positions`): a depth-first
     walk carries each node's completion frontier ``(ends, starts)`` and
     hops it across every child edge exactly once, so episodes sharing a
@@ -386,6 +404,11 @@ def count_positions_trie(
             for i in trie.terminals_of(child):
                 out[i] = count
         return out
+    if window is None:
+        table = _chase_table(index, len(trie))
+        if table is not None:
+            counts, _ = _chase(table, _lane_codes(trie, index.table_width))
+            return counts
     # stack of (node, ends, starts, depth); children pushed in reverse
     # symbol order so traversal pops ascending (determinism only —
     # results are order-independent).  Uniform length means terminals
@@ -494,16 +517,27 @@ def subsequence_summary_trie(
 def _trie_subsequence_resume(
     index: "DatabaseIndex", trie: CandidateTrie, entry: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """SUBSEQUENCE resume from an ``(R, E)`` entry table in one trie DFS.
+    """SUBSEQUENCE resume from an ``(R, E)`` entry table.
 
     Returns ``(counts, exits)`` of the same shape: row ``r`` is the
-    segment entered in states ``entry[r]``.  Each terminal resumes from
-    all R of its entries against the one full-episode chain the DFS
-    hands it.  Subtrees with an empty frontier are still visited: an
-    episode whose full chain never completes can still make partial
-    greedy progress (phase 1 of :func:`repro.mining.counting.
+    segment entered in states ``entry[r]``.  At least
+    ``_CHASE_MIN_LANES`` lanes (R x E) over a table that fits run as
+    one chase (:func:`_chase`): lane ``(r, e)`` skips the columns below
+    its entry state in the first round, and exits in the column where
+    its last round failed.  Otherwise one trie DFS: each terminal
+    resumes from all R of its entries against the one full-episode
+    chain the DFS hands it.  Subtrees with an empty frontier are still
+    visited: an episode whose full chain never completes can still make
+    partial greedy progress (phase 1 of :func:`repro.mining.counting.
     _resume_subsequence_hopping`), which the exit state must reflect.
     """
+    table = _chase_table(index, entry.size)
+    if table is not None:
+        counts, exits = _chase(
+            table, _lane_codes(trie, index.table_width, len(entry)),
+            entry.ravel(),
+        )
+        return counts.reshape(entry.shape), exits.reshape(entry.shape)  # type: ignore[union-attr]
     matrix = trie.matrix
     counts = np.zeros(entry.shape, dtype=np.int64)
     exits = np.zeros(entry.shape, dtype=np.int64)
@@ -571,6 +605,114 @@ def expiring_summary_trie(
     return counts, exit_times
 
 
+#: SUBSEQUENCE batches of at least this many lanes (episodes; R x E
+#: entry states when resuming) run the next-occurrence chase, narrower
+#: ones the frontier walk.  The chase pays one round per occurrence of
+#: its most frequent lane however few lanes it has; the walk pays per
+#: episode.  Measured (2-core Xeon, NumPy 2.4.6, best of 5, table
+#: already built; uniform database over 26 symbols, random level-3
+#: episodes; count ms, chase / frontier):
+#:
+#:   E      n = 50,000     n = 300,000
+#:   1      3.1 / 0.4      18.9 / 1.4
+#:   8      3.1 / 1.9      18.8 / 10.5
+#:   64     3.6 / 13.9     24.2 / 86.4
+#:   512    6.9 / 85.4     53.8 / 508.0
+#:
+#: The walk wins up to E = 16 on 8 symbols at level 2, the densest
+#: shape tried (11.5 / 7.2 ms at n = 50,000); from E = 32 the chase
+#: wins count and resume at 12 and 26 symbols, and is at most 1.2x
+#: behind on 8 symbols (resume 13.2 / 11.3 ms, 82.0 / 75.6 ms).
+_CHASE_MIN_LANES = 32
+
+
+def _chase_table(index: DatabaseIndex, lanes: int) -> "np.ndarray | None":
+    """``index``'s next-occurrence table when ``lanes`` lanes should be
+    chased over it; ``None`` sends them down the frontier walk (a
+    narrow batch, or an alphabet whose table would pass
+    ``_TABLE_PER_EVENT`` entries per event)."""
+    if lanes < _CHASE_MIN_LANES or index.table_width > _TABLE_PER_EVENT:
+        return None
+    return index.next_table()
+
+
+def _lane_codes(trie: CandidateTrie, width: int, repeat: int = 1) -> np.ndarray:
+    """The ``(L, repeat*E)`` table columns of the trie's episodes, lane
+    ``r*E + e`` reading episode ``e``; codes absent from the database
+    (``>= width - 1``) take the last column, which never matches."""
+    try:
+        rows = trie.matrix
+    except ValidationError:
+        # codes past 255 do not fit the uint8 matrix, and never occur
+        # in a database narrow enough for a table
+        rows = np.array([e.items for e in trie])
+    cols = np.minimum(rows.T, width - 1).astype(np.intp)
+    return np.ascontiguousarray(np.tile(cols, repeat))
+
+
+def _chase(
+    table: np.ndarray, codes: np.ndarray, entry: "np.ndarray | None" = None
+) -> "tuple[np.ndarray, np.ndarray | None]":
+    """Every lane's greedy SUBSEQUENCE FSM, run together.
+
+    Lane ``k`` matches the symbols ``codes[:, k]`` against the database
+    of ``table`` (:meth:`DatabaseIndex.next_table`).  One round does L
+    gathers over all live lanes — column ``j`` moves each lane just past
+    the first occurrence of its ``j``-th symbol at or after its scan
+    position, the FSM's exact advance rule — and a lane still off the
+    dead row after the round has completed one more occurrence.  Dead
+    lanes are compacted away once fewer than half are alive, so the
+    work follows the counts, not the database length.
+
+    ``entry`` (one state per lane) resumes instead of counting from
+    state 0: in the first round a lane entered in state ``s`` skips
+    columns ``< s``.  Returns ``(counts, exits)``; ``exits`` (the
+    column where each lane's last round failed, i.e. its FSM state at
+    the end of the database) is ``None`` without ``entry``.
+    """
+    length, lanes = codes.shape
+    dead = table[-1]
+    resuming = entry is not None
+    counts = np.zeros(lanes, dtype=np.int64)
+    # resuming: the scan position just past each lane's last completion
+    past = np.zeros(lanes, dtype=table.dtype)
+    live_past = past
+    lane = np.arange(lanes)  # the lane in each live slot
+    pos = np.zeros(lanes, dtype=table.dtype)
+    got = np.zeros(lanes, dtype=np.int64)
+    live_codes, first = codes, entry
+    while lane.size:
+        for j in range(length):
+            moved = table[pos + live_codes[j]]
+            pos = moved if first is None else np.where(first <= j, moved, pos)
+        first = None
+        alive = pos < dead
+        got += alive
+        if resuming:
+            live_past = np.where(alive, pos, live_past)
+        live = int(np.count_nonzero(alive))
+        if 2 * live < lane.size:
+            gone = ~alive
+            counts[lane[gone]] = got[gone]
+            keep = np.flatnonzero(alive)
+            if resuming:
+                past[lane[gone]] = live_past[gone]
+                live_past = live_past[keep]
+            lane, pos, got = lane[keep], pos[keep], got[keep]
+            live_codes = live_codes[:, keep]
+    if entry is None:
+        return counts, None
+    # replay each lane's failed round from just past its last completion
+    start = np.where(counts == 0, entry, 0)
+    exits = start.astype(np.int64)
+    pos = past
+    for j in range(length):
+        on = start <= j
+        pos = np.where(on, table[pos + codes[j]], pos)
+        exits += on & (pos < dead)
+    return counts, exits
+
+
 #: a leaf parent whose positions (leaf occurrences + parent
 #: completions) number fewer than ``n / _SPARSE_RATIO`` reads its ranks
 #: by binary search instead of O(n) prefix sums
@@ -582,12 +724,6 @@ _CHASE_ROUND_OVERHEAD = 4096
 _CHASE_PROBE_ROUNDS = 16
 #: positions per binary-lifting group (bounds the doubling tables)
 _LIFT_GROUP = 1 << 15
-
-
-def _index_dtype(top: int) -> "type[np.signedinteger]":
-    """Narrowest index dtype holding ``0..top``: int32 while it fits
-    (half the memory of int64 on the leaf pass), int64 beyond."""
-    return np.int32 if top <= np.iinfo(np.int32).max else np.int64
 
 
 class _LeafBatch:

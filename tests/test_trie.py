@@ -227,6 +227,9 @@ class TestLeafPassStrategies:
     ):
         import repro.mining.trie as trie_mod
 
+        # every SUBSEQUENCE batch takes the frontier walk, the 120-wide
+        # one included, which the width rule would send to the chase
+        monkeypatch.setattr(trie_mod, "_CHASE_MIN_LANES", 10**9)
         monkeypatch.setattr(trie_mod, "_SPARSE_RATIO", sparse_ratio)
         monkeypatch.setattr(trie_mod, "_CHASE_PROBE_ROUNDS", probe)
         monkeypatch.setattr(trie_mod, "_LIFT_GROUP", group)
@@ -263,15 +266,16 @@ class TestLeafPassStrategies:
             lambda *args: pytest.fail("short chains should not lift"),
         )
         # the level-3 grid: 15,600 leaves make every chase round a wide
-        # gather, against lifting tables over all their completions
+        # gather, against lifting tables over all their completions.
+        # EXPIRING: SUBSEQUENCE batches this wide skip the leaf pass
         db = small_db(n=3000, size=26)
         trie = CandidateTrie.from_episodes(
             generate_level(Alphabet.of_size(26), 3)
         )
         with get_engine("vector-sweep") as sweep:
-            ref = sweep.count_batch(db, trie, 26, MatchPolicy.SUBSEQUENCE)
+            ref = sweep.count_batch(db, trie, 26, MatchPolicy.EXPIRING, 60)
         assert ref.max() > 16  # the chase reaches its first probe
-        assert np.array_equal(count_positions_trie(db, trie), ref)
+        assert np.array_equal(count_positions_trie(db, trie, 60), ref)
 
 
 class TestLeafIndexWidth:
